@@ -267,6 +267,14 @@ fn run(args: &Args) -> Result<(Tally, Metrics), Error> {
         run.setup_median(|s| s.artifact_bytes),
         run.dep.absorbs.len() / run.plan.frame_inputs,
     );
+    eprintln!(
+        "    set-up per repeat (s): {}",
+        run.setups
+            .iter()
+            .map(|s| format!("{:.4}", s.total()))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
     let mut tally = Tally {
         correct: true,
         ..Tally::default()
@@ -286,46 +294,21 @@ fn run(args: &Args) -> Result<(Tally, Metrics), Error> {
 /// reference rate, then the rate ladder.
 fn untraced(run: &Run, tally: &mut Tally) -> Result<Metrics, Error> {
     let plan = &run.plan;
-    let addr = run.dep.server.local_addr();
-    let herd = dial_herd(addr, plan.herd);
-    let load = load_phases(run, tally, 0.63)?;
+    let herd = dial_herd(run.dep.server.local_addr(), plan.herd);
+    let load = load_phases(run, tally, 0.53)?;
     // Memory while serving at the workload's rates, before the ladder
     // overloads the server on purpose.
     let rss = peak_rss_mb();
 
-    let rung = run.secs(0.35 / plan.ladder.len() as f64);
-    // `sustained_rps` is the completed-input rate of the highest rung
-    // below the first that misses the limit.
-    let mut sustained = 0.0;
-    for &rate in plan.ladder {
-        let p = load::open_loop(addr, &run.traffic, &run.seq, rate, rung)?;
-        tally.phase(&format!("ladder {rate} frames/s"), &p);
-        let backlog_limit = rate * plan.p99_limit_us / 1e6 + load::CLIENTS as f64;
-        // A rung holds a few hundred frames, too few for its p99 to be more
-        // than its largest sample, and the reference VM stalls for 100 ms
-        // or more at times. Judge the rung's p90 (or the highest percentile
-        // with ten samples beyond it), so one stall cannot decide the rung.
-        let q = (1.0 - 10.0 / p.query.len() as f64).clamp(0.5, 0.9);
-        let tail = quantile(&p.query.us, q);
-        let pass = p.failed == 0
-            && tail <= plan.p99_limit_us
-            && (p.backlog_at_end as f64) <= backlog_limit;
-        eprintln!(
-            "    {} (p{:.1} {tail:.0} µs; backlog at end {} frames, limit {backlog_limit:.0})",
-            if pass {
-                "meets the limit"
-            } else {
-                "misses the limit"
-            },
-            q * 100.0,
-            p.backlog_at_end
-        );
-        if !pass {
-            // The ladder stops at its first miss: rates above it would
-            // only pile up backlog.
-            break;
-        }
-        sustained = p.inputs_done as f64 / p.last_response_s;
+    // The rungs share a fixed budget, so the time a missed rung's backlog
+    // takes to drain comes out of the ladder rather than lengthening the
+    // run.
+    let mut stairs = Staircase::new(&plan.ladder);
+    let ladder = Instant::now();
+    let rung = run.secs(0.45 / RUNGS as f64);
+    while ladder.elapsed() + rung <= run.secs(0.45) {
+        let pass = try_rung(run, tally, stairs.rate(), rung)?;
+        stairs.record(pass);
     }
     drop(herd);
     post_checks(run, tally)?;
@@ -338,9 +321,114 @@ fn untraced(run: &Run, tally: &mut Tally) -> Result<Metrics, Error> {
     );
     m.put("throughput_rps", load.throughput, "inputs/s");
     m.put("p50_us", load.reference.query.p50(), "us");
-    m.put("sustained_rps", sustained, "inputs/s");
+    m.put(
+        "sustained_rps",
+        stairs.sustained() * plan.frame_inputs as f64,
+        "inputs/s",
+    );
     m.put("peak_rss_mb", rss, "MiB");
     Ok(m)
+}
+
+/// Ladder rungs the end-to-end run tries when no rung's backlog has to
+/// drain.
+const RUNGS: usize = 24;
+
+/// Runs the open loop at `rate` frames/s for `duration` and judges it
+/// against the workload's limit: whether it met the limit.
+fn try_rung(run: &Run, tally: &mut Tally, rate: f64, duration: Duration) -> Result<bool, Error> {
+    let plan = &run.plan;
+    let addr = run.dep.server.local_addr();
+    let p = load::open_loop(addr, &run.traffic, &run.seq, rate, duration)?;
+    tally.phase(&format!("rung {rate} frames/s"), &p);
+    let backlog_limit = rate * plan.p99_limit_us / 1e6 + load::CLIENTS as f64;
+    // A rung holds a few hundred frames, too few for its p99 to be more
+    // than its largest sample, and the reference VM stalls for 100 ms
+    // or more at times. Judge the rung's p90 (or the highest percentile
+    // with ten samples beyond it), so one stall cannot decide the rung.
+    let q = (1.0 - 10.0 / p.query.len() as f64).clamp(0.5, 0.9);
+    let tail = quantile(&p.query.us, q);
+    let pass =
+        p.failed == 0 && tail <= plan.p99_limit_us && (p.backlog_at_end as f64) <= backlog_limit;
+    eprintln!(
+        "    {} (p{:.1} {tail:.0} µs; backlog at end {} frames, limit {backlog_limit:.0})",
+        if pass {
+            "meets the limit"
+        } else {
+            "misses the limit"
+        },
+        q * 100.0,
+        p.backlog_at_end
+    );
+    Ok(pass)
+}
+
+/// An up-down staircase over a fixed ladder of rates. It starts at the
+/// ladder's entry rung and moves up after a rung that meets the limit and
+/// down after one that misses, by a stride of four rungs that halves at
+/// each change of direction, down to one. From then on it hovers around
+/// the rate at which a rung meets the limit half the time, so one stall or
+/// one lucky rung moves the result by at most a step.
+struct Staircase {
+    rungs: Vec<f64>,
+    at: usize,
+    stride: usize,
+    rising: Option<bool>,
+    /// Rates tried once the stride is down to one rung.
+    settled: Vec<f64>,
+    /// The highest rate that met the limit.
+    best: f64,
+}
+
+impl Staircase {
+    fn new(ladder: &workload::Ladder) -> Self {
+        let rungs = ladder.rungs();
+        let at = rungs
+            .iter()
+            .position(|&r| r >= ladder.entry)
+            .unwrap_or(rungs.len() - 1);
+        Self {
+            rungs,
+            at,
+            stride: 4,
+            rising: None,
+            settled: Vec::new(),
+            best: 0.0,
+        }
+    }
+
+    fn rate(&self) -> f64 {
+        self.rungs[self.at]
+    }
+
+    fn record(&mut self, pass: bool) {
+        if self.stride == 1 {
+            self.settled.push(self.rate());
+        }
+        if pass {
+            self.best = self.best.max(self.rate());
+        }
+        if self.rising.is_some_and(|rising| rising != pass) {
+            self.stride = (self.stride / 2).max(1);
+        }
+        self.rising = Some(pass);
+        self.at = if pass {
+            (self.at + self.stride).min(self.rungs.len() - 1)
+        } else {
+            self.at.saturating_sub(self.stride)
+        };
+    }
+
+    /// The sustained rate in frames/s: the mean rate tried once the
+    /// stride is down to one rung, or the highest rate that met the limit
+    /// when the staircase never settled (0 when none did).
+    fn sustained(&self) -> f64 {
+        if self.settled.is_empty() {
+            self.best
+        } else {
+            self.settled.iter().sum::<f64>() / self.settled.len() as f64
+        }
+    }
 }
 
 /// What the shared load phases measured.
@@ -368,6 +456,7 @@ pub fn load_phases(run: &Run, tally: &mut Tally, share: f64) -> Result<Load, Err
     let mut closed = Phase::default();
     let mut reference = Phase::default();
     let mut rates = Vec::new();
+    let mut p50s = Vec::new();
     let mut p99s = Vec::new();
     for _ in 0..ROUNDS {
         let c = load::closed_loop(
@@ -386,6 +475,7 @@ pub fn load_phases(run: &Run, tally: &mut Tally, share: f64) -> Result<Load, Err
             run.plan.ref_rate,
             run.secs(share * 0.7 / ROUNDS as f64),
         )?;
+        p50s.push(r.query.p50());
         p99s.push(r.query.p99());
         reference.merge(r);
     }
@@ -394,12 +484,17 @@ pub fn load_phases(run: &Run, tally: &mut Tally, share: f64) -> Result<Load, Err
         &format!("reference {} frames/s", run.plan.ref_rate),
         &reference,
     );
-    eprintln!(
-        "    reference p99 per round (µs): {}",
-        p99s.iter()
+    let per_round = |values: &[f64]| {
+        values
+            .iter()
             .map(|v| format!("{v:.0}"))
             .collect::<Vec<_>>()
             .join(" ")
+    };
+    eprintln!(
+        "    reference p50 / p99 per round (µs): {} / {}",
+        per_round(&p50s),
+        per_round(&p99s)
     );
     let lag = reference.lag.p99();
     eprintln!(
@@ -450,4 +545,52 @@ pub fn post_checks(run: &Run, tally: &mut Tally) -> Result<(), Error> {
         tally.correct = false;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rungs 100, 104, 108.16, … against a server that sustains up to 150.
+    #[test]
+    fn staircase_settles_between_the_last_rung_met_and_the_first_missed() {
+        let ladder = workload::Ladder {
+            low: 100.0,
+            high: 200.0,
+            entry: 120.0,
+        };
+        let rungs = ladder.rungs();
+        assert_eq!(rungs.len(), 18);
+        assert_eq!(rungs[5], 100.0 * workload::LADDER_RATIO.powi(5));
+        let mut stairs = Staircase::new(&ladder);
+        let mut tried = Vec::new();
+        for _ in 0..13 {
+            tried.push(rungs.iter().position(|&r| r == stairs.rate()).unwrap());
+            stairs.record(stairs.rate() <= 150.0);
+        }
+        // Rung 10 (148.02) is the last that meets the limit, 11 the first
+        // that misses.
+        assert_eq!(&tried[..7], [5, 9, 13, 11, 9, 10, 11]);
+        assert_eq!(stairs.best, rungs[10]);
+        assert!((stairs.sustained() - (rungs[10] + rungs[11]) / 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn staircase_that_never_settles_reports_its_best_rung() {
+        let ladder = workload::Ladder {
+            low: 100.0,
+            high: 200.0,
+            entry: 120.0,
+        };
+        let mut stairs = Staircase::new(&ladder);
+        for _ in 0..6 {
+            stairs.record(true);
+        }
+        assert_eq!(stairs.sustained(), *ladder.rungs().last().unwrap());
+        let mut stairs = Staircase::new(&ladder);
+        for _ in 0..6 {
+            stairs.record(false);
+        }
+        assert_eq!(stairs.sustained(), 0.0);
+    }
 }

@@ -44,8 +44,8 @@ pub struct Plan {
     pub frame_inputs: usize,
     /// Open-loop rate at which `p50_us` / `p99_us` are measured.
     pub ref_rate: f64,
-    /// Rates tried, lowest first, for `sustained_rps`.
-    pub ladder: &'static [f64],
+    /// The rates tried for `sustained_rps`.
+    pub ladder: Ladder,
     /// The `p99_us` limit a ladder rung must meet.
     pub p99_limit_us: f64,
     /// One `Absorb` frame after every `absorb_every` query frames (0: none).
@@ -56,6 +56,28 @@ pub struct Plan {
     pub tau: usize,
     /// Set-ups per run; `setup_s` is their median.
     pub setup_reps: usize,
+}
+
+/// A fixed ladder of open-loop rates in frames per second: `low`, then
+/// each rung [`LADDER_RATIO`] times the one below, up to `high`. It spans
+/// the host's speed swings with room to spare. The search for
+/// `sustained_rps` starts at `entry`, a rung near the knee at the commit
+/// that added the benchmark.
+pub struct Ladder {
+    pub low: f64,
+    pub high: f64,
+    pub entry: f64,
+}
+
+/// Ratio of neighbouring ladder rungs: the resolution of `sustained_rps`.
+pub const LADDER_RATIO: f64 = 1.04;
+
+impl Ladder {
+    pub fn rungs(&self) -> Vec<f64> {
+        std::iter::successors(Some(self.low), |r| Some(r * LADDER_RATIO))
+            .take_while(|&r| r <= self.high)
+            .collect()
+    }
 }
 
 impl Workload {
@@ -81,9 +103,11 @@ impl Workload {
             Self::PaperMonitor => Plan {
                 frame_inputs: 512,
                 ref_rate: 100.0,
-                ladder: &[
-                    80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0, 220.0, 240.0, 260.0,
-                ],
+                ladder: Ladder {
+                    low: 80.0,
+                    high: 640.0,
+                    entry: 200.0,
+                },
                 p99_limit_us: 100_000.0,
                 absorb_every: 0,
                 herd: 0,
@@ -93,9 +117,11 @@ impl Workload {
             Self::WireSmallHerd => Plan {
                 frame_inputs: 8,
                 ref_rate: 2_000.0,
-                ladder: &[
-                    6_000.0, 7_000.0, 8_000.0, 9_000.0, 10_000.0, 11_000.0, 12_000.0,
-                ],
+                ladder: Ladder {
+                    low: 2_000.0,
+                    high: 32_000.0,
+                    entry: 8_000.0,
+                },
                 p99_limit_us: 50_000.0,
                 absorb_every: 0,
                 herd: HERD,
@@ -105,9 +131,11 @@ impl Workload {
             Self::StoreAbsorbMix => Plan {
                 frame_inputs: 64,
                 ref_rate: 80.0,
-                ladder: &[
-                    120.0, 150.0, 180.0, 210.0, 240.0, 270.0, 300.0, 340.0, 380.0, 420.0,
-                ],
+                ladder: Ladder {
+                    low: 120.0,
+                    high: 960.0,
+                    entry: 300.0,
+                },
                 p99_limit_us: 100_000.0,
                 absorb_every: 9,
                 herd: 0,
