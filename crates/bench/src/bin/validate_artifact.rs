@@ -1,13 +1,14 @@
-//! CI gate for the committed golden artifact.
+//! CI gate for the committed golden artifacts.
 //!
-//! Loads `tests/golden_artifact.json` from the workspace root with the
-//! full typed validation path (`MonitorArtifact::load_json`), rebuilds the
-//! same deterministic fixture from source, and fails (non-zero exit)
-//! unless
+//! Loads each golden file under `tests/` at the workspace root (the
+//! single-boundary `golden_artifact.json` plus the multi-layer and
+//! per-class composites) with the full typed validation path
+//! (`MonitorArtifact::load_json`), rebuilds the same deterministic fixture
+//! from source, and fails (non-zero exit) unless
 //!
-//! 1. the committed file still loads under the current
+//! 1. every committed file still loads under the current
 //!    `FORMAT_VERSION` and validation rules, and
-//! 2. the loaded monitor's verdicts on the golden probe corpus are
+//! 2. each loaded monitor's verdicts on the golden probe corpus are
 //!    **bit-identical** to the freshly built monitor's.
 //!
 //! Together these catch both accidental format breaks (a schema change
@@ -15,7 +16,7 @@
 //! construction change that would make reloaded monitors disagree with
 //! newly built ones).
 //!
-//! After an *intentional* format bump, regenerate the file:
+//! After an *intentional* format bump, regenerate the files:
 //!
 //! ```text
 //! NAPMON_REGEN_GOLDEN=1 cargo run -p napmon-bench --bin validate_artifact
@@ -24,11 +25,8 @@
 use napmon_bench::golden;
 use napmon_core::Monitor;
 
-fn golden_path() -> String {
-    format!(
-        "{}/../../tests/golden_artifact.json",
-        env!("CARGO_MANIFEST_DIR")
-    )
+fn golden_path(file: &str) -> String {
+    format!("{}/../../tests/{file}", env!("CARGO_MANIFEST_DIR"))
 }
 
 fn main() {
@@ -49,18 +47,23 @@ fn main() {
         napmon_artifact::FORMAT_VERSION,
         napmon_wire::LEGACY_WIRE_PROTOCOL_VERSION,
     );
-
-    let path = golden_path();
-    let fresh = golden::build();
-
-    if std::env::var_os("NAPMON_REGEN_GOLDEN").is_some() {
-        fresh.save_json(&path).expect("write golden artifact");
-        println!("regenerated {path}");
-        println!("  {fresh}");
-        return;
+    let regen = std::env::var_os("NAPMON_REGEN_GOLDEN").is_some();
+    for (file, spec) in golden::fixtures() {
+        let path = golden_path(file);
+        let fresh = golden::build_spec(spec);
+        if regen {
+            fresh.save_json(&path).expect("write golden artifact");
+            println!("regenerated {path}");
+            println!("  {fresh}");
+        } else {
+            check(&path, &fresh);
+        }
     }
+}
 
-    let loaded = napmon_artifact::MonitorArtifact::load_json(&path).unwrap_or_else(|e| {
+/// Loads the committed file at `path` and checks it against `fresh`.
+fn check(path: &str, fresh: &napmon_artifact::MonitorArtifact) {
+    let loaded = napmon_artifact::MonitorArtifact::load_json(path).unwrap_or_else(|e| {
         panic!(
             "golden artifact at {path} no longer loads: {e}\n\
              (if the format changed intentionally, bump FORMAT_VERSION and \
@@ -71,17 +74,17 @@ fn main() {
     assert_eq!(
         loaded.spec(),
         fresh.spec(),
-        "golden spec drifted from the fixture"
+        "golden spec drifted from the fixture ({path})"
     );
     assert_eq!(
         loaded.network(),
         fresh.network(),
-        "golden network drifted from the fixture"
+        "golden network drifted from the fixture ({path})"
     );
     assert_eq!(
         loaded.stats(),
         fresh.stats(),
-        "golden build stats drifted from the fixture"
+        "golden build stats drifted from the fixture ({path})"
     );
 
     let probes = golden::probes();
@@ -95,13 +98,13 @@ fn main() {
         .expect("loaded golden monitor queries");
     assert_eq!(
         got, expected,
-        "golden artifact verdicts drifted from a fresh build"
+        "golden artifact verdicts drifted from a fresh build ({path})"
     );
     let warnings = expected.iter().filter(|v| v.warning).count();
     assert!(
         warnings > 0 && warnings < probes.len(),
         "golden probe corpus must exercise both verdict branches \
-         ({warnings}/{} warned)",
+         ({warnings}/{} warned, {path})",
         probes.len()
     );
 

@@ -54,13 +54,18 @@ pub fn random_inputs(seed: u64, net: &Network, n: usize) -> Vec<Vec<f64>> {
 /// [`napmon_artifact::FORMAT_VERSION`]: `validate_artifact` (run in CI)
 /// rebuilds this fixture, loads the committed file, and fails if the
 /// current reader can no longer parse it or its verdicts drift from the
-/// freshly built monitor. Regenerate (after an intentional format bump)
-/// with `NAPMON_REGEN_GOLDEN=1 cargo run -p napmon-bench --bin
+/// freshly built monitor. Two composite goldens sit next to it, a
+/// multi-layer and a per-class deployment over the same network and
+/// training set, so the serde shape of every composition is pinned too.
+/// Regenerate all three (after an intentional format bump) with
+/// `NAPMON_REGEN_GOLDEN=1 cargo run -p napmon-bench --bin
 /// validate_artifact`.
 pub mod golden {
     use napmon_absint::Domain;
     use napmon_artifact::MonitorArtifact;
-    use napmon_core::{MonitorKind, MonitorSpec};
+    use napmon_core::{
+        MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy, Vote, WatchedLayer,
+    };
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
 
@@ -91,7 +96,44 @@ pub mod golden {
 
     /// Builds the golden artifact from scratch (deterministic).
     pub fn build() -> MonitorArtifact {
-        MonitorArtifact::build(spec(), &network(), &train()).expect("golden fixture builds")
+        build_spec(spec())
+    }
+
+    /// The multi-layer golden spec: robust hash-set pattern monitors with
+    /// Hamming tolerance 1 at the pre- and post-ReLU boundaries (the
+    /// second restricted to a neuron subset), combined by `AtLeast(1)`.
+    pub fn multi_layer_spec() -> MonitorSpec {
+        MonitorSpec::multi_layer(
+            vec![
+                WatchedLayer::whole(1),
+                WatchedLayer::subset(2, vec![0, 3, 5, 7, 11]),
+            ],
+            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 1),
+            Vote::AtLeast(1),
+        )
+        .robust(0.02, 0, Domain::Box)
+    }
+
+    /// The per-class golden spec: an enlarged min-max monitor per output
+    /// class at the post-ReLU boundary.
+    pub fn per_class_spec() -> MonitorSpec {
+        MonitorSpec::new(2, MonitorKind::min_max_enlarged(0.1)).per_class(3)
+    }
+
+    /// Every golden fixture: the file name under `tests/` at the
+    /// workspace root, and its spec.
+    pub fn fixtures() -> Vec<(&'static str, MonitorSpec)> {
+        vec![
+            ("golden_artifact.json", spec()),
+            ("golden_multi_layer.json", multi_layer_spec()),
+            ("golden_per_class.json", per_class_spec()),
+        ]
+    }
+
+    /// Builds a golden artifact for `spec` over the golden network and
+    /// training set (deterministic).
+    pub fn build_spec(spec: MonitorSpec) -> MonitorArtifact {
+        MonitorArtifact::build(spec, &network(), &train()).expect("golden fixture builds")
     }
 
     /// The probe corpus the golden verdicts are pinned on: near-training

@@ -33,6 +33,40 @@ fn committed_golden_artifact_loads_and_matches_fresh_build() {
     );
 }
 
+/// The multi-layer and per-class goldens pin the serde shape of the
+/// composite payloads: each must load, match a fresh spec build, and
+/// answer the probe corpus bit-identically, with both verdict branches hit.
+#[test]
+fn committed_composite_goldens_load_and_match_fresh_builds() {
+    let probes = golden::probes();
+    for (file, spec) in [
+        ("golden_multi_layer.json", golden::multi_layer_spec()),
+        ("golden_per_class.json", golden::per_class_spec()),
+    ] {
+        let path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
+        let loaded = MonitorArtifact::load_json(&path)
+            .unwrap_or_else(|e| panic!("committed {file} must load: {e}"));
+        let fresh = golden::build_spec(spec);
+        assert_eq!(loaded.spec(), fresh.spec(), "{file}");
+        assert_eq!(loaded.network(), fresh.network(), "{file}");
+        assert_eq!(loaded.stats(), fresh.stats(), "{file}");
+        let expected = fresh
+            .monitor()
+            .query_batch(fresh.network(), &probes)
+            .unwrap();
+        assert_eq!(
+            loaded
+                .monitor()
+                .query_batch(loaded.network(), &probes)
+                .unwrap(),
+            expected,
+            "{file}: verdicts must be bit-identical to a fresh build"
+        );
+        let warnings = expected.iter().filter(|v| v.warning).count();
+        assert!(warnings > 0 && warnings < probes.len(), "{file}: {warnings}");
+    }
+}
+
 #[test]
 fn golden_artifact_serves_through_the_engine() {
     let loaded = MonitorArtifact::load_json(GOLDEN_PATH).unwrap();
