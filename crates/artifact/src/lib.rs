@@ -50,7 +50,7 @@
 //!
 //! // ... ship the file; in a fresh process:
 //! let loaded = MonitorArtifact::from_json_str(&json)?;
-//! assert!(!loaded.monitor().warns(loaded.network(), &train[0])?);
+//! assert!(!loaded.monitor().verdict(loaded.network(), &train[0])?.warning);
 //! # Ok(())
 //! # }
 //! ```
@@ -282,12 +282,21 @@ impl MonitorArtifact {
     fn validate_composition(&self) -> Result<(), ArtifactError> {
         match (&self.spec.composition, &self.monitor) {
             (Composition::Single, ComposedMonitor::Single(_)) => Ok(()),
-            (Composition::MultiLayer { .. }, ComposedMonitor::MultiLayer(m)) => {
+            (Composition::MultiLayer { vote }, ComposedMonitor::MultiLayer(m)) => {
                 if m.num_members() != self.spec.layers.len() {
                     return Err(ArtifactError::Mismatch(format!(
                         "spec watches {} boundaries but the monitor has {} members",
                         self.spec.layers.len(),
                         m.num_members()
+                    )));
+                }
+                // The payload's vote decides every query; one that
+                // disagrees with the validated spec (say `AtLeast(k)` with
+                // more than the member count) could silence the monitor.
+                if m.vote() != *vote {
+                    return Err(ArtifactError::Mismatch(format!(
+                        "spec votes {vote:?} but the monitor votes {:?}",
+                        m.vote()
                     )));
                 }
                 Ok(())

@@ -201,6 +201,33 @@ fn bumped_format_version_is_rejected_for_every_composition() {
 }
 
 #[test]
+fn multi_layer_vote_disagreeing_with_spec_is_rejected_typed() {
+    let net = net();
+    let data = train_data(32);
+    let spec = MonitorSpec::multi_layer(
+        vec![WatchedLayer::whole(2), WatchedLayer::whole(4)],
+        MonitorKind::min_max(),
+        Vote::Any,
+    );
+    let json = MonitorArtifact::build(spec, &net, &data)
+        .unwrap()
+        .to_json_string()
+        .unwrap();
+    // The spec still says `Any`; only the monitor payload's vote changes.
+    // `AtLeast(7)` over two members would never warn.
+    for tampered_vote in [r#"{"AtLeast":7}"#, r#""All""#] {
+        let tampered = json.replacen(
+            r#""vote":"Any"}},"network""#,
+            &format!(r#""vote":{tampered_vote}}}}},"network""#),
+            1,
+        );
+        assert_ne!(json, tampered, "the payload vote must be rewritten");
+        let err = MonitorArtifact::from_json_str(&tampered).unwrap_err();
+        assert!(matches!(err, ArtifactError::Mismatch(_)), "{err:?}");
+    }
+}
+
+#[test]
 fn mismatched_network_dimensions_are_rejected_typed() {
     let net = net();
     let data = train_data(32);

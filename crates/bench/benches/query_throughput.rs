@@ -10,7 +10,8 @@
 //!   precomputed) — the path the packed rewrite targets;
 //! - `end_to_end`: forward pass + abstraction + membership through
 //!   `query_batch` (single thread, reused scratch);
-//! - `end_to_end_parallel`: the same through `query_batch_parallel`.
+//! - `end_to_end_parallel`: the same through `query_batch_parallel_with`
+//!   at the machine's core count.
 //!
 //! Results are written to `BENCH_query.json` at the workspace root so later
 //! PRs can track the trajectory. Set `NAPMON_BENCH_SMOKE=1` for a
@@ -19,7 +20,7 @@
 
 use napmon_bdd::{Bdd, BitSliceSet, BitWord, NodeId};
 use napmon_core::{
-    FeatureExtractor, Monitor, MonitorBuilder, MonitorKind, PatternBackend, PatternMonitor,
+    FeatureExtractor, Monitor, MonitorKind, MonitorSpec, PatternBackend, PatternMonitor,
     ThresholdPolicy,
 };
 use napmon_nn::Network;
@@ -154,7 +155,7 @@ struct BackendResult {
     membership_speedup: f64,
     /// Forward + abstraction + membership via `query_batch` (one thread).
     end_to_end_qps: f64,
-    /// Same via `query_batch_parallel` (all cores).
+    /// Same via `query_batch_parallel_with` (all cores).
     end_to_end_parallel_qps: f64,
     /// Store size: BDD nodes or hash-set words.
     store_size: usize,
@@ -228,10 +229,8 @@ fn bench_config(neurons: usize, backend: PatternBackend, results: &mut Vec<Backe
     probes.extend((0..PROBE_COUNT - TRAIN_SIZE).map(|_| rng.uniform_vec(INPUT_DIM, -1.0, 1.0)));
 
     let kind = MonitorKind::pattern_with(ThresholdPolicy::Mean, backend, 0);
-    let built = MonitorBuilder::new(&net, layer)
-        .build(kind, &train)
-        .unwrap();
-    let monitor = built.as_pattern().unwrap();
+    let built = MonitorSpec::new(layer, kind).build(&net, &train).unwrap();
+    let monitor = built.as_single().and_then(|m| m.as_pattern()).unwrap();
 
     let fx = FeatureExtractor::new(&net, layer).unwrap();
     let train_features: Vec<Vec<f64>> = train
@@ -275,10 +274,15 @@ fn bench_config(neurons: usize, backend: PatternBackend, results: &mut Vec<Backe
     let end_to_end_qps =
         (batches as f64 * PROBE_COUNT as f64) / batch_start.elapsed().as_secs_f64();
 
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let par_start = Instant::now();
     let mut batches = 0u32;
     while par_start.elapsed().as_secs_f64() < measure_secs(0.5) {
-        black_box(built.query_batch_parallel(&net, &probes).unwrap());
+        black_box(
+            built
+                .query_batch_parallel_with(&net, &probes, threads)
+                .unwrap(),
+        );
         batches += 1;
     }
     let end_to_end_parallel_qps =

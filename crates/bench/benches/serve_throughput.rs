@@ -13,9 +13,7 @@
 //! `NAPMON_BENCH_SMOKE=1` to run a seconds-long smoke pass that still
 //! writes the full JSON schema (CI validates it).
 
-use napmon_core::{
-    Monitor, MonitorBuilder, MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy,
-};
+use napmon_core::{Monitor, MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_registry::{MonitorRegistry, RegistryConfig};
 use napmon_serve::{EngineConfig, MonitorEngine};
@@ -146,12 +144,12 @@ fn main() {
     let train: Vec<Vec<f64>> = (0..TRAIN_SIZE)
         .map(|_| rng.uniform_vec(INPUT_DIM, -1.0, 1.0))
         .collect();
-    let monitor = MonitorBuilder::new(&net, 2)
-        .build(
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
-            &train,
-        )
-        .unwrap();
+    let monitor = MonitorSpec::new(
+        2,
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
+    )
+    .build(&net, &train)
+    .unwrap();
 
     // Steady-state operation: in-distribution probes, membership hits, no
     // warning evidence to build. Shared as one `Arc` so the measured loops

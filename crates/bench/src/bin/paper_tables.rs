@@ -1,17 +1,17 @@
-//! Regenerates every table and figure of the paper's evaluation, plus the
-//! ablations indexed in `DESIGN.md` (§4) / `EXPERIMENTS.md`.
+//! Regenerates every table and figure of the paper's evaluation (E1/E2,
+//! F1/F2), plus the ablations A1–A6.
 //!
 //! ```text
 //! paper_tables [e1|e2|f1|f2|a1|a2|a3|a4|a5|a6|all] [--full]
 //! ```
 //!
 //! Without `--full`, a reduced-scale configuration runs in seconds; with
-//! `--full`, the paper-scale configuration used to record `EXPERIMENTS.md`
-//! runs in minutes. JSON copies of all results land in `results/`.
+//! `--full`, the paper-scale configuration runs in minutes. JSON copies of
+//! all results land in `results/` under the working directory.
 
 use napmon_absint::Domain;
 use napmon_bdd::Bdd;
-use napmon_core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon_core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon_data::ood::OodScenario;
 use napmon_data::racetrack::{TrackConfig, TrackSampler};
 use napmon_eval::experiment::{Experiment, RacetrackConfig};
@@ -484,11 +484,11 @@ fn a6(exp: &Experiment) {
         let slice = &data[..n];
         let time = |robust: bool, par: bool| -> f64 {
             let start = Instant::now();
-            let mut b = MonitorBuilder::new(net, layer).parallel(par);
+            let mut spec = MonitorSpec::new(layer, MonitorKind::pattern()).parallel(par);
             if robust {
-                b = b.robust(0.01, 0, Domain::Box);
+                spec = spec.robust(0.01, 0, Domain::Box);
             }
-            let _ = b.build(MonitorKind::pattern(), slice).unwrap();
+            let _ = spec.build(net, slice).unwrap();
             start.elapsed().as_secs_f64()
         };
         t.row(vec![

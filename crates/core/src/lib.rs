@@ -39,9 +39,9 @@
 //!
 //! Construction is *spec-first*: a [`MonitorSpec`] declares the whole
 //! build as serializable data (family, boundary, robustness, composition),
-//! and [`MonitorSpec::build`] runs the paper's construction loop. The
-//! imperative [`MonitorBuilder`] remains as a thin shim that lowers to a
-//! spec.
+//! and [`MonitorSpec::build`] runs the paper's construction loop. It
+//! returns a [`ComposedMonitor`], the one queryable monitor type for every
+//! composition (single boundary, multi-layer vote, per-class dispatch).
 //!
 //! ```
 //! use napmon_core::{Monitor, MonitorKind, MonitorSpec};
@@ -64,7 +64,7 @@
 //!
 //! // Lemma 1: training inputs (and anything Δ-close) never warn.
 //! for v in &train {
-//!     assert!(!monitor.warns(&net, v)?);
+//!     assert!(!monitor.verdict(&net, v)?.warning);
 //! }
 //! # Ok(())
 //! # }
@@ -86,7 +86,7 @@ pub mod source;
 pub mod spec;
 pub mod wirefmt;
 
-pub use builder::{AnyMonitor, MonitorBuilder, MonitorKind, RobustConfig};
+pub use builder::{AnyMonitor, MonitorKind, RobustConfig};
 pub use error::MonitorError;
 pub use feature::FeatureExtractor;
 pub use interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};

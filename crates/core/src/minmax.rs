@@ -189,7 +189,7 @@ mod tests {
     fn empty_monitor_warns_on_everything() {
         let (_, fx) = extractor();
         let m = MinMaxMonitor::empty(fx);
-        assert!(m.warns_features(&[0.0, 0.0, 0.0]));
+        assert!(m.verdict_features(&[0.0, 0.0, 0.0]).warning);
         assert_eq!(m.samples(), 0);
     }
 
@@ -199,9 +199,9 @@ mod tests {
         let mut m = MinMaxMonitor::empty(fx);
         m.absorb_point(&[1.0, 2.0, 3.0]);
         m.absorb_point(&[0.0, 5.0, 3.0]);
-        assert!(!m.warns_features(&[1.0, 2.0, 3.0]));
-        assert!(!m.warns_features(&[0.5, 3.0, 3.0])); // inside the box hull
-        assert!(m.warns_features(&[2.0, 3.0, 3.0])); // neuron 0 above max
+        assert!(!m.verdict_features(&[1.0, 2.0, 3.0]).warning);
+        assert!(!m.verdict_features(&[0.5, 3.0, 3.0]).warning); // inside the box hull
+        assert!(m.verdict_features(&[2.0, 3.0, 3.0]).warning); // neuron 0 above max
     }
 
     #[test]
@@ -228,8 +228,8 @@ mod tests {
         let (_, fx) = extractor();
         let mut m = MinMaxMonitor::empty(fx);
         m.absorb_bounds(&BoxBounds::new(vec![-0.1, 0.0, 0.5], vec![0.1, 0.2, 0.9]));
-        assert!(!m.warns_features(&[0.09, 0.1, 0.6]));
-        assert!(m.warns_features(&[0.2, 0.1, 0.6]));
+        assert!(!m.verdict_features(&[0.09, 0.1, 0.6]).warning);
+        assert!(m.verdict_features(&[0.2, 0.1, 0.6]).warning);
         assert_eq!(m.lo(), &[-0.1, 0.0, 0.5]);
         assert_eq!(m.hi(), &[0.1, 0.2, 0.9]);
     }
@@ -250,7 +250,7 @@ mod tests {
         let (_, fx) = extractor();
         let m = from_features(fx, &[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]]).unwrap();
         assert_eq!(m.samples(), 2);
-        assert!(!m.warns_features(&[0.5, 0.5, 0.0]));
+        assert!(!m.verdict_features(&[0.5, 0.5, 0.0]).warning);
     }
 
     #[test]
@@ -272,10 +272,10 @@ mod tests {
             m.absorb_point(&f);
         }
         for x in &train {
-            assert!(!m.warns(&net, x).unwrap());
+            assert!(!m.verdict(&net, x).unwrap().warning);
         }
         // A far-away input should trip at least one bound.
-        assert!(m.warns(&net, &[50.0, -50.0]).unwrap());
+        assert!(m.verdict(&net, &[50.0, -50.0]).unwrap().warning);
     }
 
     #[test]

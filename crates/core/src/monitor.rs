@@ -65,8 +65,9 @@ impl Verdict {
 ///
 /// One scratch holds everything a query needs to touch the heap for:
 /// the network's ping-pong forward buffers, the projected feature vector,
-/// and the packed abstraction word. [`Monitor::query_batch`] (and the
-/// parallel variant) allocate one scratch per worker and reuse it across
+/// and the packed abstraction word. [`Monitor::query_batch`] (and
+/// [`Monitor::query_batch_parallel_with`]) allocate one scratch per worker
+/// and reuse it across
 /// the whole batch, so per-query heap allocation drops to zero once the
 /// buffers have grown — the operational regime the paper's "operation
 /// time" monitors run in.
@@ -121,16 +122,6 @@ pub trait Monitor {
         self.verdict_features(features)
     }
 
-    /// Qualitative decision for an already-extracted feature vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor's feature
-    /// dimension.
-    fn warns_features(&self, features: &[f64]) -> bool {
-        self.verdict_features(features).warning
-    }
-
     /// Runs `net` on `input` and returns the full verdict.
     ///
     /// # Errors
@@ -140,16 +131,6 @@ pub trait Monitor {
     fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
         let features = self.extractor().features(net, input)?;
         Ok(self.verdict_features(&features))
-    }
-
-    /// Runs `net` on `input` and returns the qualitative decision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
-    /// match the network.
-    fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        Ok(self.verdict(net, input)?.warning)
     }
 
     /// Runs `net` on `input` through the caller's scratch buffers and
@@ -228,32 +209,10 @@ pub trait Monitor {
         Ok(out)
     }
 
-    /// Verdicts for a whole batch, fanned out over all available cores
-    /// with one reusable scratch per worker thread.
-    ///
-    /// Implemented with `std::thread::scope` (the build environment has no
-    /// registry access for `rayon`; the chunked scope achieves the same
-    /// embarrassingly-parallel split). Results keep input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    fn query_batch_parallel(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError>
-    where
-        Self: Sync,
-    {
-        self.query_batch_parallel_with(net, inputs, available_threads())
-    }
-
-    /// Like [`Monitor::query_batch_parallel`] but with a pinned worker
-    /// count, for callers that need the fan-out width under their own
-    /// control rather than the machine's — the differential tests pin it
-    /// to 1/2/4 to prove scheduling cannot change verdicts. (The
+    /// Verdicts for a whole batch, fanned out over `threads` workers with
+    /// one reusable scratch per worker (`std::thread::scope`). The caller
+    /// picks the fan-out width — the differential tests pin it to 1/2/4
+    /// to prove scheduling cannot change verdicts. (The
     /// `napmon-serve` engine does its own sharding over long-lived
     /// workers; each shard runs the sequential [`Monitor::verdict_scratch`]
     /// loop this method is proven identical to.)
@@ -280,19 +239,12 @@ pub trait Monitor {
     }
 }
 
-/// Worker count used by the parallelism-defaulted batch APIs.
-pub(crate) fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(4)
-}
-
-/// Shared fan-out behind every `query_batch_parallel`: chunks `inputs`
+/// The fan-out behind [`Monitor::query_batch_parallel_with`]: chunks `inputs`
 /// across `threads` workers via `std::thread::scope`, runs `query_chunk`
 /// per worker (each call gets a contiguous sub-slice and allocates its own
 /// scratch inside), and restitches results in input order. Falls back to
 /// one direct call when parallelism cannot pay for the thread spawns.
-pub(crate) fn fan_out_batch<F>(
+fn fan_out_batch<F>(
     inputs: &[Vec<f64>],
     threads: usize,
     query_chunk: F,

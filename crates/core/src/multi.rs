@@ -5,11 +5,11 @@
 //! that configuration. Each member monitor watches its own boundary (and
 //! possibly its own neuron subset); an operational input is checked
 //! against all of them and the verdicts are combined by a [`Vote`].
+//! Build one with [`MonitorSpec::multi_layer`](crate::MonitorSpec::multi_layer)
+//! and query it through
+//! [`ComposedMonitor::MultiLayer`](crate::ComposedMonitor::MultiLayer).
 
 use crate::builder::AnyMonitor;
-use crate::error::MonitorError;
-use crate::monitor::{Monitor, QueryScratch, Verdict};
-use napmon_nn::Network;
 use serde::{Deserialize, Serialize};
 
 /// How per-layer verdicts combine into one decision.
@@ -24,7 +24,8 @@ pub enum Vote {
 }
 
 impl Vote {
-    fn decide(self, warnings: usize, members: usize) -> bool {
+    /// Whether `warnings` warning members out of `members` warn overall.
+    pub(crate) fn decide(self, warnings: usize, members: usize) -> bool {
         match self {
             Vote::Any => warnings > 0,
             Vote::All => warnings == members,
@@ -34,7 +35,9 @@ impl Vote {
 }
 
 /// Monitors over several boundaries of the same network, combined by a
-/// vote.
+/// vote: the payload of
+/// [`ComposedMonitor::MultiLayer`](crate::ComposedMonitor::MultiLayer),
+/// which answers its queries.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiLayerMonitor {
     members: Vec<AnyMonitor>,
@@ -83,150 +86,14 @@ impl MultiLayerMonitor {
     pub(crate) fn members_mut(&mut self) -> &mut [AnyMonitor] {
         &mut self.members
     }
-
-    /// Runs the network once per member boundary and combines verdicts.
-    ///
-    /// The underlying forward pass is shared up to each monitored
-    /// boundary via [`Network::boundary_values`], so an `m`-member monitor
-    /// costs one full forward pass, not `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] for malformed inputs.
-    pub fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "multi-layer query input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
-        let boundaries = net.boundary_values(input);
-        let mut warnings = 0usize;
-        let mut evidence = Vec::new();
-        for member in &self.members {
-            let fx = member.extractor();
-            let features = fx.project(&boundaries[fx.layer()]);
-            let v = member.verdict_features(&features);
-            if v.warning {
-                warnings += 1;
-                evidence.extend(v.violations);
-            }
-        }
-        if self.vote.decide(warnings, self.members.len()) {
-            Ok(Verdict::warn(evidence))
-        } else {
-            Ok(Verdict::ok())
-        }
-    }
-
-    /// Qualitative decision of [`MultiLayerMonitor::verdict`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiLayerMonitor::verdict`].
-    pub fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        Ok(self.verdict(net, input)?.warning)
-    }
-
-    /// One verdict through the caller's scratch buffers: the forward pass
-    /// is shared across members, and every member's feature projection and
-    /// abstraction word reuse the scratch. The boundary snapshot itself
-    /// (`Network::boundary_values`) still allocates per query — the
-    /// multi-layer path is not yet fully allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] for malformed inputs.
-    pub fn verdict_scratch(
-        &self,
-        net: &Network,
-        input: &[f64],
-        scratch: &mut QueryScratch,
-    ) -> Result<Verdict, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "multi-layer query input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
-        let boundaries = net.boundary_values(input);
-        let mut warnings = 0usize;
-        let mut evidence = Vec::new();
-        let mut features = std::mem::take(&mut scratch.features);
-        for member in &self.members {
-            let fx = member.extractor();
-            fx.project_into(&boundaries[fx.layer()], &mut features);
-            let v = member.verdict_features_scratch(&features, scratch);
-            if v.warning {
-                warnings += 1;
-                evidence.extend(v.violations);
-            }
-        }
-        scratch.features = features;
-        if self.vote.decide(warnings, self.members.len()) {
-            Ok(Verdict::warn(evidence))
-        } else {
-            Ok(Verdict::ok())
-        }
-    }
-
-    /// Verdicts for a whole batch, sharing one scratch (single-threaded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] on the first malformed
-    /// input.
-    pub fn query_batch(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            out.push(self.verdict_scratch(net, input, &mut scratch)?);
-        }
-        Ok(out)
-    }
-
-    /// Parallel batch: chunks fanned out over all cores with one scratch
-    /// per worker (`std::thread::scope`; results keep input order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    pub fn query_batch_parallel(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        self.query_batch_parallel_with(net, inputs, crate::monitor::available_threads())
-    }
-
-    /// Like [`MultiLayerMonitor::query_batch_parallel`] with a pinned
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    pub fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        crate::monitor::fan_out_batch(inputs, threads, |chunk| self.query_batch(net, chunk))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MonitorBuilder, MonitorKind};
+    use crate::builder::MonitorKind;
+    use crate::monitor::Monitor;
+    use crate::spec::{ComposedMonitor, MonitorSpec};
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
 
@@ -245,14 +112,23 @@ mod tests {
         (net, data)
     }
 
-    fn multi(net: &Network, data: &[Vec<f64>], vote: Vote) -> MultiLayerMonitor {
-        let m2 = MonitorBuilder::new(net, 2)
-            .build(MonitorKind::min_max(), data)
-            .unwrap();
-        let m4 = MonitorBuilder::new(net, 4)
-            .build(MonitorKind::min_max(), data)
-            .unwrap();
-        MultiLayerMonitor::new(vec![m2, m4], vote)
+    fn min_max(net: &Network, layer: usize, data: &[Vec<f64>]) -> AnyMonitor {
+        match MonitorSpec::new(layer, MonitorKind::min_max())
+            .build(net, data)
+            .unwrap()
+        {
+            ComposedMonitor::Single(m) => m,
+            other => panic!("single spec built {other}"),
+        }
+    }
+
+    fn multi(net: &Network, data: &[Vec<f64>], vote: Vote) -> ComposedMonitor {
+        let members = vec![min_max(net, 2, data), min_max(net, 4, data)];
+        ComposedMonitor::MultiLayer(MultiLayerMonitor::new(members, vote))
+    }
+
+    fn warns(m: &ComposedMonitor, net: &Network, x: &[f64]) -> bool {
+        m.verdict(net, x).unwrap().warning
     }
 
     #[test]
@@ -261,7 +137,7 @@ mod tests {
         for vote in [Vote::Any, Vote::All, Vote::AtLeast(1), Vote::AtLeast(2)] {
             let mm = multi(&net, &data, vote);
             for x in &data {
-                assert!(!mm.warns(&net, x).unwrap(), "{vote:?}");
+                assert!(!warns(&mm, &net, x), "{vote:?}");
             }
         }
     }
@@ -272,13 +148,13 @@ mod tests {
         let any = multi(&net, &data, Vote::Any);
         let all = multi(&net, &data, Vote::All);
         let far = vec![100.0, -100.0, 100.0];
-        assert!(any.warns(&net, &far).unwrap());
+        assert!(warns(&any, &net, &far));
         // ANY warns whenever ALL warns.
         let mut rng = Prng::seed(73);
         for _ in 0..100 {
             let probe = rng.uniform_vec(3, -3.0, 3.0);
-            if all.warns(&net, &probe).unwrap() {
-                assert!(any.warns(&net, &probe).unwrap());
+            if warns(&all, &net, &probe) {
+                assert!(warns(&any, &net, &probe));
             }
         }
     }
@@ -293,9 +169,9 @@ mod tests {
         for _ in 0..100 {
             let probe = rng.uniform_vec(3, -3.0, 3.0);
             let (a, t, l) = (
-                any.warns(&net, &probe).unwrap(),
-                two.warns(&net, &probe).unwrap(),
-                all.warns(&net, &probe).unwrap(),
+                warns(&any, &net, &probe),
+                warns(&two, &net, &probe),
+                warns(&all, &net, &probe),
             );
             // With two members AtLeast(2) == All, and All implies Any.
             assert_eq!(t, l);
@@ -318,7 +194,7 @@ mod tests {
     fn wrong_dimension_is_an_error() {
         let (net, data) = setup();
         let mm = multi(&net, &data, Vote::Any);
-        assert!(mm.warns(&net, &[1.0]).is_err());
+        assert!(mm.verdict(&net, &[1.0]).is_err());
     }
 
     #[test]
@@ -331,15 +207,12 @@ mod tests {
     fn serde_round_trip() {
         let (net, data) = setup();
         let mm = multi(&net, &data, Vote::AtLeast(1));
-        let json = serde_json::to_string(&mm).unwrap();
-        let back: MultiLayerMonitor = serde_json::from_str(&json).unwrap();
+        let json = serde_json::to_string(mm.as_multi_layer().unwrap()).unwrap();
+        let back = ComposedMonitor::MultiLayer(serde_json::from_str(&json).unwrap());
         let mut rng = Prng::seed(75);
         for _ in 0..50 {
             let probe = rng.uniform_vec(3, -2.0, 2.0);
-            assert_eq!(
-                mm.warns(&net, &probe).unwrap(),
-                back.warns(&net, &probe).unwrap()
-            );
+            assert_eq!(warns(&mm, &net, &probe), warns(&back, &net, &probe));
         }
     }
 }

@@ -727,7 +727,7 @@ mod tests {
             m.absorb_point(&f);
         }
         for x in &train {
-            assert!(!m.warns(&net, x).unwrap());
+            assert!(!m.verdict(&net, x).unwrap().warning);
         }
     }
 

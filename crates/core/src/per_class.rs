@@ -3,15 +3,17 @@
 //! The DATE 2019 on-off monitor keeps a separate pattern set per output
 //! class and, in operation, checks the observed pattern against the set of
 //! the class the network *predicts*. This wrapper provides that dispatch
-//! for any monitor family.
+//! for any monitor family. Build one with
+//! [`MonitorSpec::per_class`](crate::MonitorSpec::per_class) and query it
+//! through [`ComposedMonitor::PerClass`](crate::ComposedMonitor::PerClass).
 
 use crate::builder::AnyMonitor;
 use crate::error::MonitorError;
-use crate::monitor::{Monitor, QueryScratch, Verdict};
-use napmon_nn::Network;
 use serde::{Deserialize, Serialize};
 
-/// One monitor per class; queries dispatch on the predicted class.
+/// One monitor per class, the payload of
+/// [`ComposedMonitor::PerClass`](crate::ComposedMonitor::PerClass), whose
+/// queries dispatch on the predicted class.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerClassMonitor {
     monitors: Vec<AnyMonitor>,
@@ -51,129 +53,29 @@ impl PerClassMonitor {
         &mut self.monitors
     }
 
-    /// Runs the network, picks the predicted class, and returns that
-    /// class's verdict.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] for malformed inputs or
-    /// [`MonitorError::InvalidConfig`] if the network predicts a class with
-    /// no monitor.
-    pub fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "per-class query input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
-        let class = net.predict_class(input);
-        let monitor = self.monitors.get(class).ok_or_else(|| {
-            MonitorError::InvalidConfig(format!(
+    /// The index of the monitor serving `class`, or a typed error when the
+    /// network predicts a class with no monitor.
+    pub(crate) fn checked_class(&self, class: usize) -> Result<usize, MonitorError> {
+        if class < self.monitors.len() {
+            Ok(class)
+        } else {
+            Err(MonitorError::InvalidConfig(format!(
                 "predicted class {class} has no monitor ({} classes)",
                 self.monitors.len()
-            ))
-        })?;
-        monitor.verdict(net, input)
-    }
-
-    /// Qualitative decision of [`PerClassMonitor::verdict`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        Ok(self.verdict(net, input)?.warning)
-    }
-
-    /// One dispatched verdict through the caller's scratch buffers (the
-    /// class prediction reuses the scratch's forward buffers too).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn verdict_scratch(
-        &self,
-        net: &Network,
-        input: &[f64],
-        scratch: &mut QueryScratch,
-    ) -> Result<Verdict, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "per-class query input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
+            )))
         }
-        let class = {
-            let out = net.forward_prefix_into(input, net.num_layers(), &mut scratch.forward);
-            napmon_tensor::vector::argmax(out)
-        };
-        let monitor = self.monitors.get(class).ok_or_else(|| {
-            MonitorError::InvalidConfig(format!(
-                "predicted class {class} has no monitor ({} classes)",
-                self.monitors.len()
-            ))
-        })?;
-        monitor.verdict_scratch(net, input, scratch)
-    }
-
-    /// Verdicts for a whole batch, sharing one scratch (single-threaded).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`], on the first
-    /// failing input.
-    pub fn query_batch(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            out.push(self.verdict_scratch(net, input, &mut scratch)?);
-        }
-        Ok(out)
-    }
-
-    /// Parallel batch over all cores with one scratch per worker
-    /// (`std::thread::scope`; results keep input order).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn query_batch_parallel(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        self.query_batch_parallel_with(net, inputs, crate::monitor::available_threads())
-    }
-
-    /// Like [`PerClassMonitor::query_batch_parallel`] with a pinned worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        crate::monitor::fan_out_batch(inputs, threads, |chunk| self.query_batch(net, chunk))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MonitorBuilder, MonitorKind};
+    use crate::builder::MonitorKind;
+    use crate::monitor::Monitor;
+    use crate::spec::{ComposedMonitor, MonitorSpec};
     use napmon_nn::{Activation, LayerSpec, Network};
 
-    fn setup() -> (Network, PerClassMonitor, Vec<Vec<f64>>) {
+    fn setup() -> (Network, ComposedMonitor, Vec<Vec<f64>>) {
         let net = Network::seeded(
             61,
             2,
@@ -193,8 +95,9 @@ mod tests {
             labels.contains(&0) && labels.contains(&1),
             "need both classes"
         );
-        let pc = MonitorBuilder::new(&net, 2)
-            .build_per_class(MonitorKind::min_max(), &data, &labels, 2)
+        let pc = MonitorSpec::new(2, MonitorKind::min_max())
+            .per_class(2)
+            .build_with_labels(&net, &data, &labels)
             .unwrap();
         (net, pc, data)
     }
@@ -203,13 +106,14 @@ mod tests {
     fn training_inputs_do_not_warn() {
         let (net, pc, data) = setup();
         for x in &data {
-            assert!(!pc.warns(&net, x).unwrap());
+            assert!(!pc.verdict(&net, x).unwrap().warning);
         }
     }
 
     #[test]
     fn num_classes_and_access() {
         let (_, pc, _) = setup();
+        let pc = pc.as_per_class().unwrap();
         assert_eq!(pc.num_classes(), 2);
         assert!(pc.class_monitor(0).as_min_max().is_some());
     }
@@ -223,7 +127,7 @@ mod tests {
     #[test]
     fn far_inputs_warn() {
         let (net, pc, _) = setup();
-        assert!(pc.warns(&net, &[100.0, -100.0]).unwrap());
+        assert!(pc.verdict(&net, &[100.0, -100.0]).unwrap().warning);
     }
 
     #[test]

@@ -83,8 +83,9 @@ impl ScoredMonitor for AnyMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MonitorBuilder, MonitorKind};
+    use crate::builder::MonitorKind;
     use crate::feature::FeatureExtractor;
+    use crate::spec::MonitorSpec;
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
 
@@ -142,11 +143,12 @@ mod tests {
             MonitorKind::pattern(),
             MonitorKind::interval(2),
         ] {
-            let m = MonitorBuilder::new(&n, 2).build(kind, &data).unwrap();
+            let built = MonitorSpec::new(2, kind).build(&n, &data).unwrap();
+            let m = built.as_single().unwrap();
             for _ in 0..100 {
                 let probe = rng.uniform_vec(2, -2.0, 2.0);
                 let features = m.extractor().features(&n, &probe).unwrap();
-                let warns = m.warns_features(&features);
+                let warns = m.verdict_features(&features).warning;
                 let score = m.score_features(&features);
                 assert_eq!(warns, score > 0.0, "score/warning disagree");
             }

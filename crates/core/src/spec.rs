@@ -4,11 +4,10 @@
 //! entire monitor build — which boundary (or boundaries) of the network to
 //! watch, which monitor family ([`MonitorKind`]), whether to use the robust
 //! construction of §III-B ([`RobustConfig`]), how members compose
-//! ([`Composition`]), and whether construction may use all cores. Where the
-//! imperative [`MonitorBuilder`](crate::builder::MonitorBuilder) chain
-//! lives only as long as the process that ran it, a spec is *data*: it can
-//! be written to disk, reviewed, diffed, shipped to another machine, and
-//! rebuilt — or embedded in a `napmon-artifact` file next to the monitor it
+//! ([`Composition`]), and whether construction may use all cores. It is
+//! the one way to build a monitor. A spec is *data*: it can be written to
+//! disk, reviewed, diffed, shipped to another machine, and rebuilt — or
+//! embedded in a `napmon-artifact` file next to the monitor it
 //! produced, so the deployed abstraction is always traceable to the exact
 //! configuration that built it.
 //!
@@ -41,7 +40,7 @@
 //! let spec = MonitorSpec::new(2, MonitorKind::pattern()).robust(0.05, 0, Domain::Box);
 //! let monitor = spec.build(&net, &train)?;
 //! for v in &train {
-//!     assert!(!monitor.warns(&net, v)?);
+//!     assert!(!monitor.verdict(&net, v)?.warning);
 //! }
 //! # Ok(())
 //! # }
@@ -677,7 +676,7 @@ fn member_word_bits(kind: &MonitorKind, dim: usize) -> usize {
 }
 
 /// Builds one member monitor over one watched boundary: the §III-A/B
-/// construction loop the spec (and therefore the builder shim) lowers to.
+/// construction loop every spec build runs, once per member.
 /// `member` indexes the member within its composition; `provider`, when
 /// given, supplies the external source its pattern set is absorbed into.
 #[allow(clippy::too_many_arguments)]
@@ -1044,13 +1043,7 @@ impl ComposedMonitor {
                 fresh += usize::from(m.absorb_input_shared(net, input)?);
             }
             ComposedMonitor::MultiLayer(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "multi-layer absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
+                check_input(net, input, "multi-layer absorb input")?;
                 // One forward pass shared across members, exactly like
                 // the multi-layer query path.
                 let boundaries = net.boundary_values(input);
@@ -1061,23 +1054,9 @@ impl ComposedMonitor {
                 }
             }
             ComposedMonitor::PerClass(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "per-class absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
-                let class = net.predict_class(input);
-                let member = (class < m.num_classes())
-                    .then(|| m.class_monitor(class))
-                    .ok_or_else(|| {
-                        MonitorError::InvalidConfig(format!(
-                            "predicted class {class} has no monitor ({} classes)",
-                            m.num_classes()
-                        ))
-                    })?;
-                fresh += usize::from(member.absorb_input_shared(net, input)?);
+                check_input(net, input, "per-class absorb input")?;
+                let class = m.checked_class(net.predict_class(input))?;
+                fresh += usize::from(m.class_monitor(class).absorb_input_shared(net, input)?);
             }
         }
         Ok(fresh)
@@ -1096,13 +1075,7 @@ impl ComposedMonitor {
         match self {
             ComposedMonitor::Single(m) => m.absorb_input_mut(net, input),
             ComposedMonitor::MultiLayer(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "multi-layer absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
+                check_input(net, input, "multi-layer absorb input")?;
                 let boundaries = net.boundary_values(input);
                 for member in m.members_mut() {
                     let fx = member.extractor();
@@ -1112,23 +1085,9 @@ impl ComposedMonitor {
                 Ok(())
             }
             ComposedMonitor::PerClass(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "per-class absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
-                let class = net.predict_class(input);
-                let num_classes = m.num_classes();
-                m.monitors_mut()
-                    .get_mut(class)
-                    .ok_or_else(|| {
-                        MonitorError::InvalidConfig(format!(
-                            "predicted class {class} has no monitor ({num_classes} classes)"
-                        ))
-                    })?
-                    .absorb_input_mut(net, input)
+                check_input(net, input, "per-class absorb input")?;
+                let class = m.checked_class(net.predict_class(input))?;
+                m.monitors_mut()[class].absorb_input_mut(net, input)
             }
         }
     }
@@ -1181,7 +1140,7 @@ impl Monitor for ComposedMonitor {
     ) -> Result<(), MonitorError> {
         match self {
             // Single members get the bit-sliced batch kernel; composites
-            // keep the default per-input loop (their verdict depends on
+            // keep the per-input loop (their verdict depends on
             // full-network routing, not one feature vector).
             ComposedMonitor::Single(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
             _ => {
@@ -1195,14 +1154,21 @@ impl Monitor for ComposedMonitor {
         }
     }
 
+    /// Composites answer through [`Monitor::verdict_scratch`] with a fresh
+    /// scratch, so each composition has exactly one query path.
     fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
         match self {
             ComposedMonitor::Single(m) => m.verdict(net, input),
-            ComposedMonitor::MultiLayer(m) => m.verdict(net, input),
-            ComposedMonitor::PerClass(m) => m.verdict(net, input),
+            _ => self.verdict_scratch(net, input, &mut QueryScratch::new()),
         }
     }
 
+    /// The single member's verdict; for multi-layer, one forward pass
+    /// shared across every member and the member verdicts combined by the
+    /// vote; for per-class, the verdict of the predicted class's member.
+    /// Member projections and abstraction words reuse the scratch; the
+    /// multi-layer boundary snapshot (`Network::boundary_values`) still
+    /// allocates per query.
     fn verdict_scratch(
         &self,
         net: &Network,
@@ -1211,34 +1177,48 @@ impl Monitor for ComposedMonitor {
     ) -> Result<Verdict, MonitorError> {
         match self {
             ComposedMonitor::Single(m) => m.verdict_scratch(net, input, scratch),
-            ComposedMonitor::MultiLayer(m) => m.verdict_scratch(net, input, scratch),
-            ComposedMonitor::PerClass(m) => m.verdict_scratch(net, input, scratch),
+            ComposedMonitor::MultiLayer(m) => {
+                check_input(net, input, "multi-layer query input")?;
+                let boundaries = net.boundary_values(input);
+                let mut warnings = 0usize;
+                let mut evidence = Vec::new();
+                let mut features = std::mem::take(&mut scratch.features);
+                for member in m.members() {
+                    let fx = member.extractor();
+                    fx.project_into(&boundaries[fx.layer()], &mut features);
+                    let v = member.verdict_features_scratch(&features, scratch);
+                    if v.warning {
+                        warnings += 1;
+                        evidence.extend(v.violations);
+                    }
+                }
+                scratch.features = features;
+                Ok(if m.vote().decide(warnings, m.num_members()) {
+                    Verdict::warn(evidence)
+                } else {
+                    Verdict::ok()
+                })
+            }
+            ComposedMonitor::PerClass(m) => {
+                check_input(net, input, "per-class query input")?;
+                let out = net.forward_prefix_into(input, net.num_layers(), &mut scratch.forward);
+                let class = m.checked_class(napmon_tensor::vector::argmax(out))?;
+                m.class_monitor(class).verdict_scratch(net, input, scratch)
+            }
         }
     }
+}
 
-    fn query_batch(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        match self {
-            ComposedMonitor::Single(m) => m.query_batch(net, inputs),
-            ComposedMonitor::MultiLayer(m) => m.query_batch(net, inputs),
-            ComposedMonitor::PerClass(m) => m.query_batch(net, inputs),
-        }
-    }
-
-    fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        match self {
-            ComposedMonitor::Single(m) => m.query_batch_parallel_with(net, inputs, threads),
-            ComposedMonitor::MultiLayer(m) => m.query_batch_parallel_with(net, inputs, threads),
-            ComposedMonitor::PerClass(m) => m.query_batch_parallel_with(net, inputs, threads),
-        }
+/// Rejects an operational input whose width is not the network's.
+fn check_input(net: &Network, input: &[f64], context: &str) -> Result<(), MonitorError> {
+    if input.len() == net.input_dim() {
+        Ok(())
+    } else {
+        Err(MonitorError::DimensionMismatch {
+            context: context.into(),
+            expected: net.input_dim(),
+            actual: input.len(),
+        })
     }
 }
 
@@ -1282,32 +1262,6 @@ mod tests {
     fn train_data(n: usize) -> Vec<Vec<f64>> {
         let mut rng = Prng::seed(99);
         (0..n).map(|_| rng.uniform_vec(3, -0.5, 0.5)).collect()
-    }
-
-    #[test]
-    fn spec_builds_match_builder_builds() {
-        let net = net();
-        let data = train_data(48);
-        for kind in [
-            MonitorKind::min_max(),
-            MonitorKind::pattern(),
-            MonitorKind::interval(2),
-        ] {
-            let from_spec = MonitorSpec::new(4, kind.clone())
-                .build(&net, &data)
-                .unwrap();
-            let from_builder = crate::builder::MonitorBuilder::new(&net, 4)
-                .build(kind, &data)
-                .unwrap();
-            let mut rng = Prng::seed(5);
-            for _ in 0..64 {
-                let probe = rng.uniform_vec(3, -2.0, 2.0);
-                assert_eq!(
-                    from_spec.verdict(&net, &probe).unwrap(),
-                    from_builder.verdict(&net, &probe).unwrap()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1456,9 +1410,9 @@ mod tests {
         let m = spec.build(&net, &data).unwrap();
         assert_eq!(m.as_multi_layer().unwrap().num_members(), 2);
         for x in &data {
-            assert!(!m.warns(&net, x).unwrap());
+            assert!(!m.verdict(&net, x).unwrap().warning);
         }
-        assert!(m.warns(&net, &[100.0, -100.0, 100.0]).unwrap());
+        assert!(m.verdict(&net, &[100.0, -100.0, 100.0]).unwrap().warning);
     }
 
     #[test]
@@ -1486,7 +1440,7 @@ mod tests {
         let m = spec.build(&net, &data).unwrap();
         assert_eq!(m.as_per_class().unwrap().num_classes(), 2);
         for x in &data {
-            assert!(!m.warns(&net, x).unwrap());
+            assert!(!m.verdict(&net, x).unwrap().warning);
         }
     }
 
@@ -1592,8 +1546,8 @@ mod tests {
         .unwrap();
         assert_eq!(per_class.external_descriptors().iter().flatten().count(), 2);
         for x in &data {
-            assert!(!multi.warns(&net, x).unwrap());
-            assert!(!per_class.warns(&net, x).unwrap());
+            assert!(!multi.verdict(&net, x).unwrap().warning);
+            assert!(!per_class.verdict(&net, x).unwrap().warning);
         }
     }
 
@@ -1639,7 +1593,7 @@ mod tests {
         let m = spec
             .mount_with_sources(&net, &mut memory_provider())
             .unwrap();
-        assert!(m.warns(&net, &[0.1, 0.2, 0.3]).unwrap());
+        assert!(m.verdict(&net, &[0.1, 0.2, 0.3]).unwrap().warning);
         // Min-max cannot mount.
         let spec = MonitorSpec::new(4, MonitorKind::min_max());
         assert!(spec
@@ -1662,14 +1616,14 @@ mod tests {
         let mut rng = Prng::seed(77);
         let novel = loop {
             let probe = rng.uniform_vec(3, -3.0, 3.0);
-            if m.warns(&net, &probe).unwrap() {
+            if m.verdict(&net, &probe).unwrap().warning {
                 break probe;
             }
         };
         // Shared absorption (through &self, as the serving engine does)
         // makes it a member without a rebuild.
         assert_eq!(m.absorb_operation(&net, &novel).unwrap(), 1);
-        assert!(!m.warns(&net, &novel).unwrap());
+        assert!(!m.verdict(&net, &novel).unwrap().warning);
         assert_eq!(m.absorb_operation(&net, &novel).unwrap(), 0, "dedup");
         m.commit_external_sources().unwrap();
         // In-memory monitors take the &mut path instead.
@@ -1678,7 +1632,7 @@ mod tests {
             .unwrap();
         assert!(in_mem.absorb_operation(&net, &novel).is_err());
         in_mem.absorb_mut(&net, &novel).unwrap();
-        assert!(!in_mem.warns(&net, &novel).unwrap());
+        assert!(!in_mem.verdict(&net, &novel).unwrap().warning);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use napmon_absint::Domain;
 use napmon_core::{
-    Monitor, MonitorBuilder, MonitorKind, MultiLayerMonitor, PatternBackend, QueryScratch,
-    ThresholdPolicy, Verdict, Vote,
+    Monitor, MonitorKind, MonitorSpec, PatternBackend, QueryScratch, ThresholdPolicy, Verdict,
+    Vote, WatchedLayer,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
@@ -89,7 +89,7 @@ fn parallel_verdicts_are_bit_identical_to_sequential() {
     let train = train_data(128);
     let inputs = probes(120);
     for (name, kind) in all_kinds() {
-        let monitor = MonitorBuilder::new(&net, 4).build(kind, &train).unwrap();
+        let monitor = MonitorSpec::new(4, kind).build(&net, &train).unwrap();
         let expected = sequential_reference(&monitor, &net, &inputs);
         assert_eq!(
             monitor.query_batch(&net, &inputs).unwrap(),
@@ -105,10 +105,13 @@ fn parallel_verdicts_are_bit_identical_to_sequential() {
                 "{name}: parallel with {shards} worker(s) diverged"
             );
         }
+        let machine_width = std::thread::available_parallelism().map_or(1, usize::from);
         assert_eq!(
-            monitor.query_batch_parallel(&net, &inputs).unwrap(),
+            monitor
+                .query_batch_parallel_with(&net, &inputs, machine_width)
+                .unwrap(),
             expected,
-            "{name}: default-width parallel diverged"
+            "{name}: machine-width parallel diverged"
         );
     }
 }
@@ -119,9 +122,9 @@ fn robust_construction_keeps_parallel_parity() {
     let train = train_data(64);
     let inputs = probes(60);
     for (name, kind) in all_kinds() {
-        let monitor = MonitorBuilder::new(&net, 4)
+        let monitor = MonitorSpec::new(4, kind)
             .robust(0.03, 0, Domain::Box)
-            .build(kind, &train)
+            .build(&net, &train)
             .unwrap();
         let expected = sequential_reference(&monitor, &net, &inputs);
         for shards in SHARD_COUNTS {
@@ -141,16 +144,14 @@ fn composite_monitors_keep_parallel_parity() {
     let net = net();
     let train = train_data(96);
     let inputs = probes(80);
-    let members: Vec<_> = [2usize, 4]
-        .iter()
-        .map(|&layer| {
-            MonitorBuilder::new(&net, layer)
-                .build(MonitorKind::pattern(), &train)
-                .unwrap()
-        })
-        .collect();
     for vote in [Vote::Any, Vote::All, Vote::AtLeast(2)] {
-        let multi = MultiLayerMonitor::new(members.clone(), vote);
+        let multi = MonitorSpec::multi_layer(
+            vec![WatchedLayer::whole(2), WatchedLayer::whole(4)],
+            MonitorKind::pattern(),
+            vote,
+        )
+        .build(&net, &train)
+        .unwrap();
         let expected: Vec<Verdict> = {
             let mut scratch = QueryScratch::new();
             inputs
@@ -175,8 +176,9 @@ fn composite_monitors_keep_parallel_parity() {
     // dispatch on the network's own predicted class either way.)
     let classes = net.output_dim();
     let labels: Vec<usize> = (0..train.len()).map(|i| i % classes).collect();
-    let per_class = MonitorBuilder::new(&net, 4)
-        .build_per_class(MonitorKind::pattern(), &train, &labels, classes)
+    let per_class = MonitorSpec::new(4, MonitorKind::pattern())
+        .per_class(classes)
+        .build_with_labels(&net, &train, &labels)
         .unwrap();
     let expected: Vec<Verdict> = {
         let mut scratch = QueryScratch::new();

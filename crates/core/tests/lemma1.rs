@@ -7,7 +7,7 @@
 //! `kp`) to some training input must not trigger a warning.
 
 use napmon_absint::Domain;
-use napmon_core::{Monitor, MonitorBuilder, MonitorKind};
+use napmon_core::{Monitor, MonitorKind, MonitorSpec};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
 use proptest::prelude::*;
@@ -55,14 +55,12 @@ proptest! {
         let net = network(net_seed);
         let data = training_set(data_seed, 24);
         for kind in kinds() {
-            let monitor = MonitorBuilder::new(&net, 4)
-                .robust(delta, 0, Domain::Box)
-                .build(kind.clone(), &data)
+            let monitor = MonitorSpec::new(4, kind.clone()).robust(delta, 0, Domain::Box).build(&net, &data)
                 .unwrap();
             let base = &data[pick % data.len()];
             let v_op: Vec<f64> = base.iter().zip(&dir).map(|(b, d)| b + d * delta).collect();
             prop_assert!(
-                !monitor.warns(&net, &v_op).unwrap(),
+                !monitor.verdict(&net, &v_op).unwrap().warning,
                 "{kind:?} warned on a Δ-close input (Δ = {delta})"
             );
         }
@@ -85,9 +83,7 @@ proptest! {
         let kp = 2usize;
         let k = 4usize;
         for kind in kinds() {
-            let monitor = MonitorBuilder::new(&net, k)
-                .robust(delta, kp, Domain::Box)
-                .build(kind.clone(), &data)
+            let monitor = MonitorSpec::new(k, kind.clone()).robust(delta, kp, Domain::Box).build(&net, &data)
                 .unwrap();
             // Perturb the layer-kp image directly and push it to layer k:
             // this is exactly the v̆ of Definition 1.
@@ -96,7 +92,7 @@ proptest! {
             let perturbed: Vec<f64> = at_kp.iter().map(|&v| v + rng.uniform(-delta, delta)).collect();
             let features = net.forward_range(&perturbed, kp, k);
             prop_assert!(
-                !monitor.warns_features(&features),
+                !monitor.verdict_features(&features).warning,
                 "{kind:?} warned on a feature-space Δ-close point"
             );
         }
@@ -116,18 +112,14 @@ proptest! {
         let data = training_set(data_seed, 16);
         let d_large = d_small * growth;
         for kind in kinds() {
-            let small = MonitorBuilder::new(&net, 4)
-                .robust(d_small, 0, Domain::Box)
-                .build(kind.clone(), &data)
+            let small = MonitorSpec::new(4, kind.clone()).robust(d_small, 0, Domain::Box).build(&net, &data)
                 .unwrap();
-            let large = MonitorBuilder::new(&net, 4)
-                .robust(d_large, 0, Domain::Box)
-                .build(kind.clone(), &data)
+            let large = MonitorSpec::new(4, kind.clone()).robust(d_large, 0, Domain::Box).build(&net, &data)
                 .unwrap();
             // If the small monitor accepts, the large one must too.
-            if !small.warns(&net, &probe).unwrap() {
+            if !small.verdict(&net, &probe).unwrap().warning {
                 prop_assert!(
-                    !large.warns(&net, &probe).unwrap(),
+                    !large.verdict(&net, &probe).unwrap().warning,
                     "{kind:?} not monotone in Δ"
                 );
             }
@@ -145,14 +137,12 @@ proptest! {
         let net = network(net_seed);
         let data = training_set(data_seed, 16);
         for kind in kinds() {
-            let standard = MonitorBuilder::new(&net, 4).build(kind.clone(), &data).unwrap();
-            let zero = MonitorBuilder::new(&net, 4)
-                .robust(0.0, 0, Domain::Box)
-                .build(kind.clone(), &data)
+            let standard = MonitorSpec::new(4, kind.clone()).build(&net, &data).unwrap();
+            let zero = MonitorSpec::new(4, kind.clone()).robust(0.0, 0, Domain::Box).build(&net, &data)
                 .unwrap();
             for x in &data {
-                prop_assert!(!standard.warns(&net, x).unwrap());
-                prop_assert!(!zero.warns(&net, x).unwrap());
+                prop_assert!(!standard.verdict(&net, x).unwrap().warning);
+                prop_assert!(!zero.verdict(&net, x).unwrap().warning);
             }
         }
     }
@@ -166,9 +156,9 @@ fn lemma1_holds_for_all_domains() {
     let delta = 0.05;
     let mut rng = Prng::seed(79);
     for domain in Domain::ALL {
-        let monitor = MonitorBuilder::new(&net, 4)
+        let monitor = MonitorSpec::new(4, MonitorKind::pattern())
             .robust(delta, 0, domain)
-            .build(MonitorKind::pattern(), &data)
+            .build(&net, &data)
             .unwrap();
         for base in &data {
             for _ in 0..5 {
@@ -177,7 +167,7 @@ fn lemma1_holds_for_all_domains() {
                     .map(|&b| b + rng.uniform(-delta, delta))
                     .collect();
                 assert!(
-                    !monitor.warns(&net, &v_op).unwrap(),
+                    !monitor.verdict(&net, &v_op).unwrap().warning,
                     "{domain} violated Lemma 1"
                 );
             }
@@ -193,18 +183,18 @@ fn robust_accepts_superset_of_standard() {
     let data = training_set(102, 32);
     let mut rng = Prng::seed(103);
     for kind in kinds() {
-        let standard = MonitorBuilder::new(&net, 4)
-            .build(kind.clone(), &data)
+        let standard = MonitorSpec::new(4, kind.clone())
+            .build(&net, &data)
             .unwrap();
-        let robust = MonitorBuilder::new(&net, 4)
+        let robust = MonitorSpec::new(4, kind.clone())
             .robust(0.08, 0, Domain::Box)
-            .build(kind.clone(), &data)
+            .build(&net, &data)
             .unwrap();
         for _ in 0..200 {
             let probe = rng.uniform_vec(3, -2.0, 2.0);
-            if !standard.warns(&net, &probe).unwrap() {
+            if !standard.verdict(&net, &probe).unwrap().warning {
                 assert!(
-                    !robust.warns(&net, &probe).unwrap(),
+                    !robust.verdict(&net, &probe).unwrap().warning,
                     "{kind:?}: robust warned where standard accepted"
                 );
             }

@@ -10,12 +10,17 @@
 
 use napmon_bdd::BitWord;
 use napmon_core::{
-    FeatureExtractor, Monitor, MonitorBuilder, MonitorKind, PatternBackend, PatternMonitor,
-    QueryScratch,
+    ComposedMonitor, FeatureExtractor, Monitor, MonitorKind, MonitorSpec, MultiLayerMonitor,
+    PatternBackend, PatternMonitor, QueryScratch, Vote,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
 use std::collections::HashSet;
+
+/// The fan-out width of the machine running the tests.
+fn machine_width() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
 
 /// Reference (seed-era) pattern store: unpacked words, SipHash set.
 struct ReferenceStore {
@@ -331,12 +336,14 @@ fn query_batch_agrees_with_sequential_verdicts() {
         ),
         MonitorKind::interval(2),
     ] {
-        let m = MonitorBuilder::new(&net, 4)
-            .build(kind.clone(), &train)
+        let m = MonitorSpec::new(4, kind.clone())
+            .build(&net, &train)
             .unwrap();
         let sequential: Vec<_> = probes.iter().map(|x| m.verdict(&net, x).unwrap()).collect();
         let batch = m.query_batch(&net, &probes).unwrap();
-        let parallel = m.query_batch_parallel(&net, &probes).unwrap();
+        let parallel = m
+            .query_batch_parallel_with(&net, &probes, machine_width())
+            .unwrap();
         assert_eq!(batch, sequential, "{kind:?} batch != sequential");
         assert_eq!(parallel, sequential, "{kind:?} parallel != sequential");
         // Scratch-path single queries agree too.
@@ -366,16 +373,16 @@ fn sliced_batch_kernel_agrees_with_sequential_across_limb_boundary() {
         let train: Vec<Vec<f64>> = (0..300).map(|_| rng.uniform_vec(4, -0.5, 0.5)).collect();
         let probes: Vec<Vec<f64>> = (0..150).map(|_| rng.uniform_vec(4, -1.5, 1.5)).collect();
         for tau in 1..4usize {
-            let m = MonitorBuilder::new(&net, 2)
-                .build(
-                    MonitorKind::pattern_with(
-                        napmon_core::ThresholdPolicy::Mean,
-                        PatternBackend::HashSet,
-                        tau,
-                    ),
-                    &train,
-                )
-                .unwrap();
+            let m = MonitorSpec::new(
+                2,
+                MonitorKind::pattern_with(
+                    napmon_core::ThresholdPolicy::Mean,
+                    PatternBackend::HashSet,
+                    tau,
+                ),
+            )
+            .build(&net, &train)
+            .unwrap();
             let sequential: Vec<_> = probes.iter().map(|x| m.verdict(&net, x).unwrap()).collect();
             let batch = m.query_batch(&net, &probes).unwrap();
             assert_eq!(batch, sequential, "width {width} tau {tau}");
@@ -388,12 +395,14 @@ fn batch_apis_propagate_dimension_errors() {
     let net = Network::seeded(51, 4, &[LayerSpec::dense(8, Activation::Relu)]);
     let mut rng = Prng::seed(1007);
     let train: Vec<Vec<f64>> = (0..16).map(|_| rng.uniform_vec(4, -0.5, 0.5)).collect();
-    let m = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::pattern(), &train)
+    let m = MonitorSpec::new(2, MonitorKind::pattern())
+        .build(&net, &train)
         .unwrap();
     let bad = vec![vec![0.0; 4], vec![0.0; 3]];
     assert!(m.query_batch(&net, &bad).is_err());
-    assert!(m.query_batch_parallel(&net, &bad).is_err());
+    assert!(m
+        .query_batch_parallel_with(&net, &bad, machine_width())
+        .is_err());
 }
 
 #[test]
@@ -411,30 +420,41 @@ fn multi_layer_and_per_class_batches_agree_with_sequential() {
     let train: Vec<Vec<f64>> = (0..64).map(|_| rng.uniform_vec(3, -0.5, 0.5)).collect();
     let probes: Vec<Vec<f64>> = (0..120).map(|_| rng.uniform_vec(3, -1.5, 1.5)).collect();
 
-    let m2 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::pattern(), &train)
-        .unwrap();
-    let m4 = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::min_max(), &train)
-        .unwrap();
-    let mm = napmon_core::MultiLayerMonitor::new(vec![m2, m4], napmon_core::Vote::Any);
+    // Members of different families: assembled directly, since a spec
+    // shares one kind across its members.
+    let member = |layer, kind| match MonitorSpec::new(layer, kind).build(&net, &train) {
+        Ok(ComposedMonitor::Single(m)) => m,
+        other => panic!("single spec built {other:?}"),
+    };
+    let m2 = member(2, MonitorKind::pattern());
+    let m4 = member(4, MonitorKind::min_max());
+    let mm = ComposedMonitor::MultiLayer(MultiLayerMonitor::new(vec![m2, m4], Vote::Any));
     let sequential: Vec<_> = probes
         .iter()
         .map(|x| mm.verdict(&net, x).unwrap())
         .collect();
     assert_eq!(mm.query_batch(&net, &probes).unwrap(), sequential);
-    assert_eq!(mm.query_batch_parallel(&net, &probes).unwrap(), sequential);
+    assert_eq!(
+        mm.query_batch_parallel_with(&net, &probes, machine_width())
+            .unwrap(),
+        sequential
+    );
 
     let labels: Vec<usize> = train.iter().map(|x| net.predict_class(x)).collect();
     if labels.contains(&0) && labels.contains(&1) {
-        let pc = MonitorBuilder::new(&net, 4)
-            .build_per_class(MonitorKind::pattern(), &train, &labels, 2)
+        let pc = MonitorSpec::new(4, MonitorKind::pattern())
+            .per_class(2)
+            .build_with_labels(&net, &train, &labels)
             .unwrap();
         let sequential: Vec<_> = probes
             .iter()
             .map(|x| pc.verdict(&net, x).unwrap())
             .collect();
         assert_eq!(pc.query_batch(&net, &probes).unwrap(), sequential);
-        assert_eq!(pc.query_batch_parallel(&net, &probes).unwrap(), sequential);
+        assert_eq!(
+            pc.query_batch_parallel_with(&net, &probes, machine_width())
+                .unwrap(),
+            sequential
+        );
     }
 }

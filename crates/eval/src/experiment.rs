@@ -1,9 +1,9 @@
-//! The end-to-end race-track experiment (E1/F2 of `EXPERIMENTS.md`).
+//! The end-to-end race-track experiment (tables E1/F2 of `paper_tables`).
 
 use crate::metrics::{mean_query_nanos, warn_rate};
 use napmon_absint::Domain;
 use napmon_artifact::{ArtifactError, MonitorArtifact};
-use napmon_core::{MonitorBuilder, MonitorKind, MonitorSpec, RobustConfig};
+use napmon_core::{MonitorKind, MonitorSpec, RobustConfig};
 use napmon_data::ood::OodScenario;
 use napmon_data::racetrack::{TrackConfig, TrackSampler};
 use napmon_data::Dataset;
@@ -14,8 +14,8 @@ use std::time::Instant;
 
 /// Configuration of the race-track pipeline.
 ///
-/// The defaults are test-sized; `RacetrackConfig::paper_scale()` matches
-/// the settings used for `EXPERIMENTS.md`.
+/// The defaults are test-sized; `RacetrackConfig::paper_scale()` is the
+/// configuration `paper_tables --full` runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RacetrackConfig {
     /// Master seed (data, init, training, evaluation all derive from it).
@@ -52,7 +52,7 @@ impl Default for RacetrackConfig {
 }
 
 impl RacetrackConfig {
-    /// The full-scale configuration used to generate `EXPERIMENTS.md`.
+    /// The full-scale configuration `paper_tables --full` runs.
     ///
     /// Sized for a small CI machine: large enough that sub-percent
     /// false-positive rates are measurable (4000 held-out frames resolve
@@ -220,14 +220,10 @@ impl Experiment {
         kind: MonitorKind,
         robust: Option<RobustConfig>,
     ) -> MonitorRow {
-        let layer = self.monitored_boundary();
-        let mut builder = MonitorBuilder::new(&self.net, layer).parallel(true);
-        if let Some(r) = robust {
-            builder = builder.robust_config(r);
-        }
         let start = Instant::now();
-        let monitor = builder
-            .build(kind, &self.train.inputs)
+        let monitor = self
+            .monitor_spec(kind, robust)
+            .build(&self.net, &self.train.inputs)
             .expect("valid experiment configuration");
         let build_seconds = start.elapsed().as_secs_f64();
 
@@ -248,14 +244,15 @@ impl Experiment {
             name: name.to_string(),
             fp_rate,
             detection,
-            coverage: monitor.coverage(),
+            coverage: monitor.as_single().and_then(|m| m.coverage()),
             build_seconds,
             query_nanos,
         }
     }
 
-    /// The spec an experiment monitor build corresponds to: the declarative
-    /// form of what [`Experiment::run_monitor`] constructs imperatively.
+    /// The spec of an experiment monitor build: the one
+    /// [`Experiment::run_monitor`] evaluates and
+    /// [`Experiment::build_artifact`] packages.
     pub fn monitor_spec(&self, kind: MonitorKind, robust: Option<RobustConfig>) -> MonitorSpec {
         let mut spec = MonitorSpec::new(self.monitored_boundary(), kind).parallel(true);
         if let Some(r) = robust {

@@ -1,7 +1,7 @@
 //! Experiment harness for the `napmon` reproduction.
 //!
-//! Wires the substrate crates together into the experiments indexed in
-//! `DESIGN.md`/`EXPERIMENTS.md`:
+//! Wires the substrate crates together into the experiments the
+//! `paper_tables` binary (in `napmon-bench`) prints:
 //!
 //! - [`experiment`] — the end-to-end race-track pipeline (E1/F2): sample
 //!   ODD data, train the waypoint regressor, build standard and robust

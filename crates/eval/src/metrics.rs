@@ -17,8 +17,9 @@ pub fn warn_rate<M: Monitor + ?Sized>(monitor: &M, net: &Network, inputs: &[Vec<
         .iter()
         .filter(|x| {
             monitor
-                .warns(net, x)
+                .verdict(net, x)
                 .expect("inputs must match the network dimension")
+                .warning
         })
         .count();
     warnings as f64 / inputs.len() as f64
@@ -39,8 +40,9 @@ pub fn mean_query_nanos<M: Monitor + ?Sized>(
     let mut warned = 0usize;
     for x in inputs {
         if monitor
-            .warns(net, x)
+            .verdict(net, x)
             .expect("inputs must match the network dimension")
+            .warning
         {
             warned += 1;
         }
@@ -137,7 +139,7 @@ pub fn auc(points: &[RocPoint]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napmon_core::{MonitorBuilder, MonitorKind};
+    use napmon_core::{MonitorKind, MonitorSpec};
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
 
@@ -151,8 +153,8 @@ mod tests {
     #[test]
     fn training_data_has_zero_warn_rate() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         assert_eq!(warn_rate(&m, &net, &data), 0.0);
     }
@@ -160,8 +162,8 @@ mod tests {
     #[test]
     fn far_data_has_full_warn_rate() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         let far: Vec<Vec<f64>> = (0..8).map(|i| vec![100.0 + i as f64, -100.0]).collect();
         assert_eq!(warn_rate(&m, &net, &far), 1.0);
@@ -170,8 +172,8 @@ mod tests {
     #[test]
     fn partial_rates_are_fractions() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         let mut mixed = data[..4].to_vec();
         mixed.push(vec![100.0, -100.0]);
@@ -181,8 +183,8 @@ mod tests {
     #[test]
     fn query_timing_is_positive() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::pattern(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::pattern())
+            .build(&net, &data)
             .unwrap();
         assert!(mean_query_nanos(&m, &net, &data) > 0.0);
     }
@@ -191,8 +193,8 @@ mod tests {
     #[should_panic(expected = "empty input set")]
     fn empty_input_set_panics() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         warn_rate(&m, &net, &[]);
     }
@@ -229,12 +231,13 @@ mod tests {
     #[test]
     fn monitor_scores_separate_near_from_far() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let built = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
+        let m = built.as_single().unwrap();
         let far: Vec<Vec<f64>> = (0..8).map(|i| vec![50.0 + i as f64, -50.0]).collect();
-        let neg = scores(&m, &net, &data);
-        let pos = scores(&m, &net, &far);
+        let neg = scores(m, &net, &data);
+        let pos = scores(m, &net, &far);
         let curve = roc(&neg, &pos);
         assert!(auc(&curve) > 0.99, "auc {}", auc(&curve));
     }

@@ -1,7 +1,7 @@
 //! JSON export of experiment results.
 //!
-//! `EXPERIMENTS.md` is written against the JSON these helpers emit, so the
-//! recorded numbers can always be regenerated and diffed.
+//! `paper_tables` writes its results to `results/` through these helpers,
+//! so recorded numbers can always be regenerated and diffed.
 
 use serde::Serialize;
 use std::fs;

@@ -3,7 +3,8 @@
 //! pattern sets on MNIST/GTSRB), with this paper's robust construction
 //! applied on top.
 
-use napmon_core::{MonitorBuilder, MonitorKind, PerClassMonitor, RobustConfig};
+use crate::metrics::warn_rate;
+use napmon_core::{MonitorKind, MonitorSpec, RobustConfig};
 use napmon_data::shapes::{Glyph, ShapesConfig};
 use napmon_data::Dataset;
 use napmon_nn::{accuracy, Activation, LayerSpec, Loss, Network, Optimizer, Trainer};
@@ -45,7 +46,7 @@ impl Default for ShapesExperimentConfig {
 }
 
 impl ShapesExperimentConfig {
-    /// The configuration used for `EXPERIMENTS.md`.
+    /// The full-scale configuration `paper_tables --full` runs.
     pub fn paper_scale() -> Self {
         Self {
             per_class_train: 500,
@@ -141,38 +142,25 @@ impl ShapesExperiment {
         kind: MonitorKind,
         robust: Option<RobustConfig>,
     ) -> PerClassRow {
-        let layer = self.net.penultimate_boundary();
-        let mut builder = MonitorBuilder::new(&self.net, layer).parallel(true);
+        let mut spec = MonitorSpec::new(self.net.penultimate_boundary(), kind)
+            .per_class(Glyph::ALL.len())
+            .parallel(true);
         if let Some(r) = robust {
-            builder = builder.robust_config(r);
+            spec = spec.robust_config(r);
         }
         let labels = self.train.labels.as_ref().expect("classification dataset");
         let start = Instant::now();
-        let monitor = builder
-            .build_per_class(kind, &self.train.inputs, labels, Glyph::ALL.len())
+        let monitor = spec
+            .build_with_labels(&self.net, &self.train.inputs, labels)
             .expect("valid per-class configuration");
         let build_seconds = start.elapsed().as_secs_f64();
         PerClassRow {
             name: name.to_string(),
-            fp_rate: per_class_rate(&monitor, &self.net, &self.test.inputs),
-            detection: per_class_rate(&monitor, &self.net, &self.ood),
+            fp_rate: warn_rate(&monitor, &self.net, &self.test.inputs),
+            detection: warn_rate(&monitor, &self.net, &self.ood),
             build_seconds,
         }
     }
-}
-
-/// Warning rate of a per-class monitor over an input set.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or malformed.
-pub fn per_class_rate(monitor: &PerClassMonitor, net: &Network, inputs: &[Vec<f64>]) -> f64 {
-    assert!(!inputs.is_empty(), "per_class_rate over an empty input set");
-    inputs
-        .iter()
-        .filter(|x| monitor.warns(net, x).expect("inputs match the network"))
-        .count() as f64
-        / inputs.len() as f64
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::experiment::{Experiment, MonitorRow};
 use crate::metrics::warn_rate;
 use napmon_absint::{propagate::Propagator, BoxBounds, Domain};
-use napmon_core::{MonitorBuilder, MonitorKind, RobustConfig, ThresholdPolicy};
+use napmon_core::{MonitorKind, MonitorSpec, RobustConfig, ThresholdPolicy};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -207,10 +207,10 @@ pub fn domain_comparison(exp: &Experiment, delta: f64, samples: usize) -> Vec<Do
             }
             let micros = start.elapsed().as_micros() as f64 / probe.len() as f64;
             let fp = (!is_star).then(|| {
-                let monitor = MonitorBuilder::new(net, layer)
+                let monitor = MonitorSpec::new(layer, MonitorKind::pattern())
                     .robust(delta, 0, domain)
                     .parallel(true)
-                    .build(MonitorKind::pattern(), build_set)
+                    .build(net, build_set)
                     .expect("valid domain comparison configuration");
                 warn_rate(&monitor, net, &exp.test_data().inputs)
             });

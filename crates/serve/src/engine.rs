@@ -2,9 +2,7 @@
 
 use crate::report::{ServeReport, ShardReport};
 use napmon_artifact::{ArtifactError, MonitorArtifact};
-use napmon_core::{
-    AnyMonitor, ComposedMonitor, Monitor, MonitorError, MonitorSpec, QueryScratch, Verdict,
-};
+use napmon_core::{ComposedMonitor, Monitor, MonitorError, MonitorSpec, QueryScratch, Verdict};
 use napmon_nn::Network;
 use std::ops::Range;
 use std::path::Path;
@@ -162,8 +160,9 @@ struct Shard {
 /// submit concurrently, and jobs are distributed round-robin.
 ///
 /// Generic over the monitor so purpose-built monitors serve through the
-/// same engine; [`AnyMonitor`] (the builder's product) is the default.
-pub struct MonitorEngine<M: Monitor + Send + Sync + 'static = AnyMonitor> {
+/// same engine; [`ComposedMonitor`] (what a `MonitorSpec` builds) is the
+/// default.
+pub struct MonitorEngine<M: Monitor + Send + Sync + 'static = ComposedMonitor> {
     net: Arc<Network>,
     monitor: Arc<M>,
     config: EngineConfig,

@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use napmon_core::{MonitorBuilder, MonitorKind};
+//! use napmon_core::{MonitorKind, MonitorSpec};
 //! use napmon_nn::{Activation, LayerSpec, Network};
 //! use napmon_serve::{EngineConfig, MonitorEngine};
 //!
@@ -41,7 +41,7 @@
 //! let train: Vec<Vec<f64>> = (0..32)
 //!     .map(|i| (0..4).map(|j| ((i + j) % 8) as f64 / 8.0).collect())
 //!     .collect();
-//! let monitor = MonitorBuilder::new(&net, 2).build(MonitorKind::pattern(), &train)?;
+//! let monitor = MonitorSpec::new(2, MonitorKind::pattern()).build(&net, &train)?;
 //!
 //! let engine = MonitorEngine::new(net, monitor, EngineConfig::with_shards(2));
 //! let verdicts = engine.submit_batch(train.clone())?;

@@ -13,7 +13,7 @@
 //! This file is its own integration test binary so the allocator swap
 //! cannot perturb any other test.
 
-use napmon_core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon_core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_serve::{EngineConfig, MonitorEngine};
 use napmon_tensor::Prng;
@@ -66,12 +66,12 @@ fn steady_state_batches_allocate_per_chunk_not_per_request() {
     let train: Vec<Vec<f64>> = (0..256).map(|_| rng.uniform_vec(12, -1.0, 1.0)).collect();
     // Hash-backed pattern monitor: the fastest membership path, so any
     // stray allocation would dominate its per-request cost.
-    let monitor = MonitorBuilder::new(&net, 2)
-        .build(
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
-            &train,
-        )
-        .unwrap();
+    let monitor = MonitorSpec::new(
+        2,
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
+    )
+    .build(&net, &train)
+    .unwrap();
     let engine = MonitorEngine::new(
         net,
         monitor,

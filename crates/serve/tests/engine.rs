@@ -3,14 +3,15 @@
 //! shutdown semantics.
 
 use napmon_core::{
-    Monitor, MonitorBuilder, MonitorError, MonitorKind, PatternBackend, ThresholdPolicy,
+    ComposedMonitor, Monitor, MonitorError, MonitorKind, MonitorSpec, PatternBackend,
+    ThresholdPolicy,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_serve::{EngineConfig, MonitorEngine, ServeError};
 use napmon_tensor::Prng;
 use std::sync::Arc;
 
-fn fixture(kind: MonitorKind) -> (Network, napmon_core::AnyMonitor, Vec<Vec<f64>>) {
+fn fixture(kind: MonitorKind) -> (Network, ComposedMonitor, Vec<Vec<f64>>) {
     let net = Network::seeded(
         42,
         6,
@@ -21,7 +22,7 @@ fn fixture(kind: MonitorKind) -> (Network, napmon_core::AnyMonitor, Vec<Vec<f64>
     );
     let mut rng = Prng::seed(7);
     let train: Vec<Vec<f64>> = (0..96).map(|_| rng.uniform_vec(6, -1.0, 1.0)).collect();
-    let monitor = MonitorBuilder::new(&net, 2).build(kind, &train).unwrap();
+    let monitor = MonitorSpec::new(2, kind).build(&net, &train).unwrap();
     (net, monitor, train)
 }
 
@@ -244,7 +245,11 @@ fn shared_arcs_are_accepted_and_exposed() {
         EngineConfig::with_shards(1),
     );
     assert_eq!(engine.network().input_dim(), net.input_dim());
-    assert!(engine.monitor().as_interval().is_some());
+    assert!(engine
+        .monitor()
+        .as_single()
+        .and_then(|m| m.as_interval())
+        .is_some());
     let v = engine.submit(vec![0.0; 6]).unwrap();
     assert_eq!(v, monitor.verdict(&net, &[0.0; 6]).unwrap());
     engine.shutdown();
@@ -253,7 +258,6 @@ fn shared_arcs_are_accepted_and_exposed() {
 #[test]
 fn engine_boots_from_artifact_file_with_identical_verdicts() {
     use napmon_artifact::{ArtifactError, MonitorArtifact};
-    use napmon_core::MonitorSpec;
 
     let (net, _, train) = fixture(MonitorKind::min_max());
     let spec = MonitorSpec::new(2, MonitorKind::interval(2));

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("after absorbing [0.5, 1.5] (symbols {{01, 10}}):");
     for v in [-0.5, 0.7, 1.4, 2.5] {
         // The network here is weights*(x) so craft inputs mapping to v.
-        let warn = monitor.warns_features(&[v]);
+        let warn = monitor.verdict_features(&[v]).warning;
         println!("  feature {v:+.1} -> warning: {warn}");
     }
 

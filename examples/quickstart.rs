@@ -56,22 +56,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("standard monitor:");
     println!(
         "  near training point -> warning: {}",
-        standard.warns(&net, &near)?
+        standard.verdict(&net, &near)?.warning
     );
     println!(
         "  far from training   -> warning: {}",
-        standard.warns(&net, &far)?
+        standard.verdict(&net, &far)?.warning
     );
     println!("robust monitor (provably silent within Δ of the training set):");
     println!(
         "  near training point -> warning: {}",
-        robust.warns(&net, &near)?
+        robust.verdict(&net, &near)?.warning
     );
     println!(
         "  far from training   -> warning: {}",
-        robust.warns(&net, &far)?
+        robust.verdict(&net, &far)?.warning
     );
 
-    assert!(!robust.warns(&net, &near)?, "Lemma 1 guarantees this");
+    assert!(
+        !robust.verdict(&net, &near)?.warning,
+        "Lemma 1 guarantees this"
+    );
     Ok(())
 }

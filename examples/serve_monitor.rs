@@ -7,7 +7,7 @@
 //! cargo run --release --example serve_monitor
 //! ```
 
-use napmon::core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon::core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon::data::ood::OodScenario;
 use napmon::data::Image;
 use napmon::eval::experiment::{Experiment, RacetrackConfig};
@@ -24,12 +24,12 @@ fn main() {
         ..RacetrackConfig::default()
     });
     let net = exp.network();
-    let monitor = MonitorBuilder::new(net, exp.monitored_boundary())
-        .build(
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
-            &exp.train_data().inputs,
-        )
-        .expect("build monitor");
+    let monitor = MonitorSpec::new(
+        exp.monitored_boundary(),
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
+    )
+    .build(net, &exp.train_data().inputs)
+    .expect("build monitor");
     println!("monitor: {monitor}");
 
     // 2. Stand the engine up: two worker shards, each holding one scratch

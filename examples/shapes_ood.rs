@@ -6,9 +6,10 @@
 //! ```
 
 use napmon::absint::Domain;
-use napmon::core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon::core::{ComposedMonitor, MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon::data::shapes::ShapesConfig;
 use napmon::eval::table::{percent, Table};
+use napmon::eval::warn_rate;
 use napmon::nn::{accuracy, Activation, LayerSpec, Loss, Network, Optimizer, Trainer};
 use napmon::tensor::Prng;
 
@@ -41,17 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One pattern set per class, as in the DATE 2019 monitor; robust
     // construction with a small input Δ.
     let labels = train.labels.as_ref().expect("classification dataset");
-    let layer = net.penultimate_boundary();
     let kind = MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0);
-    let standard =
-        MonitorBuilder::new(&net, layer).build_per_class(kind.clone(), &train.inputs, labels, 4)?;
-    let robust = MonitorBuilder::new(&net, layer)
-        .robust(0.002, 0, Domain::Box)
-        .build_per_class(kind, &train.inputs, labels, 4)?;
+    let spec = MonitorSpec::new(net.penultimate_boundary(), kind).per_class(4);
+    let standard = spec.build_with_labels(&net, &train.inputs, labels)?;
+    let robust =
+        spec.robust(0.002, 0, Domain::Box)
+            .build_with_labels(&net, &train.inputs, labels)?;
 
-    let rate = |pc: &napmon::core::PerClassMonitor, xs: &[Vec<f64>]| -> f64 {
-        xs.iter().filter(|x| pc.warns(&net, x).unwrap()).count() as f64 / xs.len() as f64
-    };
+    let rate = |pc: &ComposedMonitor, xs: &[Vec<f64>]| warn_rate(pc, &net, xs);
 
     let mut t = Table::new(vec![
         "per-class monitor".into(),

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let monitor = spec.build_with_sources(&net, &train, &mut StoreProvider::new(&store_root))?;
     println!("built store-backed monitor: {monitor}");
     for x in &train {
-        assert!(!monitor.warns(&net, x)?);
+        assert!(!monitor.verdict(&net, x)?.warning);
     }
 
     // The artifact references the store; it does not embed the word set.

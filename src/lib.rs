@@ -57,13 +57,13 @@
 //! let spec = MonitorSpec::new(1, MonitorKind::pattern()).robust(0.05, 0, Domain::Box);
 //! let monitor = spec.build(&net, &train)?;
 //! // Inputs near the training data never warn (Lemma 1)...
-//! assert!(!monitor.warns(&net, &train[0])?);
+//! assert!(!monitor.verdict(&net, &train[0])?.warning);
 //!
 //! // ...and the deployment unit is one validated, versioned file:
 //! let artifact = MonitorArtifact::build(spec, &net, &train)?;
 //! let json = artifact.to_json_string()?;
 //! let reloaded = MonitorArtifact::from_json_str(&json)?;
-//! assert!(!reloaded.monitor().warns(reloaded.network(), &train[0])?);
+//! assert!(!reloaded.monitor().verdict(reloaded.network(), &train[0])?.warning);
 //! # Ok(())
 //! # }
 //! ```

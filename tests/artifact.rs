@@ -63,7 +63,10 @@ fn committed_composite_goldens_load_and_match_fresh_builds() {
             "{file}: verdicts must be bit-identical to a fresh build"
         );
         let warnings = expected.iter().filter(|v| v.warning).count();
-        assert!(warnings > 0 && warnings < probes.len(), "{file}: {warnings}");
+        assert!(
+            warnings > 0 && warnings < probes.len(),
+            "{file}: {warnings}"
+        );
     }
 }
 

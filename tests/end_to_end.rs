@@ -3,7 +3,7 @@
 //! `napmon` facade.
 
 use napmon::absint::Domain;
-use napmon::core::{Monitor, MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon::core::{Monitor, MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon::data::ood::OodScenario;
 use napmon::data::racetrack::{TrackConfig, TrackSampler};
 use napmon::eval::experiment::{Experiment, RacetrackConfig};
@@ -54,13 +54,13 @@ fn lemma_1_holds_on_the_racetrack_pipeline() {
     let exp = Experiment::prepare(small_config());
     let net = exp.network();
     let delta = 0.004;
-    let monitor = MonitorBuilder::new(net, exp.monitored_boundary())
-        .robust(delta, 0, Domain::Box)
-        .build(
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
-            &exp.train_data().inputs,
-        )
-        .expect("build robust monitor");
+    let monitor = MonitorSpec::new(
+        exp.monitored_boundary(),
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
+    )
+    .robust(delta, 0, Domain::Box)
+    .build(net, &exp.train_data().inputs)
+    .expect("build robust monitor");
     let mut rng = Prng::seed(404);
     for base in exp.train_data().inputs.iter().take(30) {
         let perturbed: Vec<f64> = base
@@ -68,7 +68,7 @@ fn lemma_1_holds_on_the_racetrack_pipeline() {
             .map(|&v| v + rng.uniform(-delta, delta))
             .collect();
         assert!(
-            !monitor.warns(net, &perturbed).unwrap(),
+            !monitor.verdict(net, &perturbed).unwrap().warning,
             "robust monitor warned within its Δ guarantee"
         );
     }
@@ -152,17 +152,17 @@ fn monitors_survive_model_save_load() {
     let reloaded = napmon::nn::io::load(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
-    let m1 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::interval(2), &inputs)
+    let m1 = MonitorSpec::new(2, MonitorKind::interval(2))
+        .build(&net, &inputs)
         .unwrap();
-    let m2 = MonitorBuilder::new(&reloaded, 2)
-        .build(MonitorKind::interval(2), &inputs)
+    let m2 = MonitorSpec::new(2, MonitorKind::interval(2))
+        .build(&reloaded, &inputs)
         .unwrap();
     for _ in 0..200 {
         let probe = rng.uniform_vec(4, -2.0, 2.0);
         assert_eq!(
-            m1.warns(&net, &probe).unwrap(),
-            m2.warns(&reloaded, &probe).unwrap()
+            m1.verdict(&net, &probe).unwrap().warning,
+            m2.verdict(&reloaded, &probe).unwrap().warning
         );
     }
 }
@@ -172,8 +172,8 @@ fn warn_rate_composes_with_any_family() {
     let exp = Experiment::prepare(small_config());
     let net = exp.network();
     for (name, kind) in Experiment::monitor_families() {
-        let monitor = MonitorBuilder::new(net, exp.monitored_boundary())
-            .build(kind, &exp.train_data().inputs)
+        let monitor = MonitorSpec::new(exp.monitored_boundary(), kind)
+            .build(net, &exp.train_data().inputs)
             .unwrap();
         let fp = warn_rate(&monitor, net, &exp.test_data().inputs);
         assert!((0.0..=1.0).contains(&fp), "{name}: fp {fp}");

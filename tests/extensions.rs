@@ -2,10 +2,21 @@
 //! quantitative scores with ROC analysis, and multi-layer voting monitors.
 
 use napmon::absint::Domain;
-use napmon::core::{Monitor, MonitorBuilder, MonitorKind, MultiLayerMonitor, ScoredMonitor, Vote};
+use napmon::core::{
+    AnyMonitor, ComposedMonitor, Monitor, MonitorKind, MonitorSpec, MultiLayerMonitor,
+    ScoredMonitor, Vote, WatchedLayer,
+};
 use napmon::eval::{auc, roc, scores};
 use napmon::nn::{Activation, LayerSpec, Network};
 use napmon::tensor::Prng;
+
+/// Builds a single-boundary spec and returns its one member.
+fn member(spec: MonitorSpec, net: &Network, data: &[Vec<f64>]) -> AnyMonitor {
+    match spec.build(net, data).unwrap() {
+        ComposedMonitor::Single(m) => m,
+        other => panic!("single spec built {other}"),
+    }
+}
 
 #[allow(clippy::type_complexity)]
 fn setup() -> (Network, Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
@@ -33,16 +44,14 @@ fn monitors_round_trip_through_json() {
         MonitorKind::pattern(),
         MonitorKind::interval(2),
     ] {
-        let monitor = MonitorBuilder::new(&net, 4)
-            .robust(0.02, 0, Domain::Box)
-            .build(kind, &train)
-            .unwrap();
+        let spec = MonitorSpec::new(4, kind).robust(0.02, 0, Domain::Box);
+        let monitor = member(spec, &net, &train);
         let json = serde_json::to_string(&monitor).unwrap();
         let back: napmon::core::AnyMonitor = serde_json::from_str(&json).unwrap();
         for x in train.iter().chain(&test) {
             assert_eq!(
-                monitor.warns(&net, x).unwrap(),
-                back.warns(&net, x).unwrap()
+                monitor.verdict(&net, x).unwrap().warning,
+                back.verdict(&net, x).unwrap().warning
             );
         }
     }
@@ -53,9 +62,11 @@ fn deserialized_pattern_monitor_keeps_absorbing() {
     // The rebuilt BDD unique table must stay consistent: inserting after a
     // round trip behaves like inserting into the original.
     let (net, train, _, _) = setup();
-    let monitor = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::pattern(), &train[..64])
-        .unwrap();
+    let monitor = member(
+        MonitorSpec::new(4, MonitorKind::pattern()),
+        &net,
+        &train[..64],
+    );
     let json = serde_json::to_string(&monitor).unwrap();
     let back: napmon::core::AnyMonitor = serde_json::from_str(&json).unwrap();
     let (mut orig, mut copy) = (
@@ -83,9 +94,7 @@ fn quantitative_scores_yield_high_auc_on_far_ood() {
         (pattern, 0.55),
         (MonitorKind::interval(2), 0.55),
     ] {
-        let monitor = MonitorBuilder::new(&net, 4)
-            .build(kind.clone(), &train)
-            .unwrap();
+        let monitor = member(MonitorSpec::new(4, kind.clone()), &net, &train);
         let neg = scores(&monitor, &net, &test);
         let pos = scores(&monitor, &net, &ood);
         let curve = roc(&neg, &pos);
@@ -97,15 +106,13 @@ fn quantitative_scores_yield_high_auc_on_far_ood() {
 #[test]
 fn scores_refine_the_binary_verdict() {
     let (net, train, _, _) = setup();
-    let monitor = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::min_max(), &train)
-        .unwrap();
+    let monitor = member(MonitorSpec::new(4, MonitorKind::min_max()), &net, &train);
     let mut rng = Prng::seed(93);
     for _ in 0..200 {
         let probe = rng.uniform_vec(3, -2.0, 2.0);
         let features = monitor.extractor().features(&net, &probe).unwrap();
         assert_eq!(
-            monitor.warns_features(&features),
+            monitor.verdict_features(&features).warning,
             monitor.score_features(&features) > 0.0
         );
     }
@@ -114,17 +121,22 @@ fn scores_refine_the_binary_verdict() {
 #[test]
 fn multi_layer_vote_reduces_false_positives() {
     let (net, train, test, ood) = setup();
-    let m2 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::pattern(), &train)
-        .unwrap();
-    let m4 = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::pattern(), &train)
-        .unwrap();
-    let any = MultiLayerMonitor::new(vec![m2.clone(), m4.clone()], Vote::Any);
-    let all = MultiLayerMonitor::new(vec![m2, m4], Vote::All);
+    let voted = |vote| {
+        MonitorSpec::multi_layer(
+            vec![WatchedLayer::whole(2), WatchedLayer::whole(4)],
+            MonitorKind::pattern(),
+            vote,
+        )
+        .build(&net, &train)
+        .unwrap()
+    };
+    let (any, all) = (voted(Vote::Any), voted(Vote::All));
 
-    let rate = |mm: &MultiLayerMonitor, xs: &[Vec<f64>]| -> f64 {
-        xs.iter().filter(|x| mm.warns(&net, x).unwrap()).count() as f64 / xs.len() as f64
+    let rate = |mm: &ComposedMonitor, xs: &[Vec<f64>]| -> f64 {
+        xs.iter()
+            .filter(|x| mm.verdict(&net, x).unwrap().warning)
+            .count() as f64
+            / xs.len() as f64
     };
     // ALL-votes warn on a subset of what ANY-votes warn on.
     assert!(rate(&all, &test) <= rate(&any, &test) + 1e-12);
@@ -136,16 +148,21 @@ fn multi_layer_vote_reduces_false_positives() {
 #[test]
 fn multi_layer_serde_round_trip() {
     let (net, train, test, _) = setup();
-    let m2 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::min_max(), &train)
-        .unwrap();
-    let m4 = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::interval(2), &train)
-        .unwrap();
+    // Members of different families: assembled directly, since a spec
+    // shares one kind across its members.
+    let m2 = member(MonitorSpec::new(2, MonitorKind::min_max()), &net, &train);
+    let m4 = member(MonitorSpec::new(4, MonitorKind::interval(2)), &net, &train);
     let mm = MultiLayerMonitor::new(vec![m2, m4], Vote::AtLeast(1));
     let json = serde_json::to_string(&mm).unwrap();
     let back: MultiLayerMonitor = serde_json::from_str(&json).unwrap();
+    let (mm, back) = (
+        ComposedMonitor::MultiLayer(mm),
+        ComposedMonitor::MultiLayer(back),
+    );
     for x in &test {
-        assert_eq!(mm.warns(&net, x).unwrap(), back.warns(&net, x).unwrap());
+        assert_eq!(
+            mm.verdict(&net, x).unwrap().warning,
+            back.verdict(&net, x).unwrap().warning
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! data through training to a live sharded engine, through the `napmon`
 //! facade.
 
-use napmon::core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon::core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon::data::racetrack::TrackConfig;
 use napmon::eval::experiment::{Experiment, RacetrackConfig};
 use napmon::eval::warn_rate;
@@ -29,12 +29,12 @@ fn two_shard_engine_matches_batch_evaluation_and_drains_on_shutdown() {
     // Train the waypoint regressor and build its operation-time monitor.
     let exp = Experiment::prepare(small_config());
     let net = exp.network();
-    let monitor = MonitorBuilder::new(net, exp.monitored_boundary())
-        .build(
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
-            &exp.train_data().inputs,
-        )
-        .expect("build monitor");
+    let monitor = MonitorSpec::new(
+        exp.monitored_boundary(),
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
+    )
+    .build(net, &exp.train_data().inputs)
+    .expect("build monitor");
 
     // The offline reference: batch evaluation over the in-ODD test set.
     let batch_rate = warn_rate(&monitor, net, &exp.test_data().inputs);
