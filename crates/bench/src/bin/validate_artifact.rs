@@ -50,7 +50,7 @@ fn main() {
     let regen = std::env::var_os("NAPMON_REGEN_GOLDEN").is_some();
     for (file, spec) in golden::fixtures() {
         let path = golden_path(file);
-        let fresh = golden::build_spec(spec);
+        let fresh = golden::build(spec);
         if regen {
             fresh.save_json(&path).expect("write golden artifact");
             println!("regenerated {path}");

@@ -87,52 +87,44 @@ pub mod golden {
         (0..64).map(|_| rng.uniform_vec(8, -1.0, 1.0)).collect()
     }
 
-    /// The golden spec: a robust 2-bit interval monitor (BDD-backed, so
-    /// the arena serializer is part of the contract) at the last hidden
-    /// boundary.
-    pub fn spec() -> MonitorSpec {
-        MonitorSpec::new(2, MonitorKind::interval(2)).robust(0.05, 0, Domain::Box)
-    }
-
-    /// Builds the golden artifact from scratch (deterministic).
-    pub fn build() -> MonitorArtifact {
-        build_spec(spec())
-    }
-
-    /// The multi-layer golden spec: robust hash-set pattern monitors with
-    /// Hamming tolerance 1 at the pre- and post-ReLU boundaries (the
-    /// second restricted to a neuron subset), combined by `AtLeast(1)`.
-    pub fn multi_layer_spec() -> MonitorSpec {
-        MonitorSpec::multi_layer(
-            vec![
-                WatchedLayer::whole(1),
-                WatchedLayer::subset(2, vec![0, 3, 5, 7, 11]),
-            ],
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 1),
-            Vote::AtLeast(1),
-        )
-        .robust(0.02, 0, Domain::Box)
-    }
-
-    /// The per-class golden spec: an enlarged min-max monitor per output
-    /// class at the post-ReLU boundary.
-    pub fn per_class_spec() -> MonitorSpec {
-        MonitorSpec::new(2, MonitorKind::min_max_enlarged(0.1)).per_class(3)
-    }
-
-    /// Every golden fixture: the file name under `tests/` at the
-    /// workspace root, and its spec.
+    /// Every golden fixture: its file name under `tests/` at the workspace
+    /// root, and its spec.
     pub fn fixtures() -> Vec<(&'static str, MonitorSpec)> {
         vec![
-            ("golden_artifact.json", spec()),
-            ("golden_multi_layer.json", multi_layer_spec()),
-            ("golden_per_class.json", per_class_spec()),
+            // A robust 2-bit interval monitor (BDD-backed, so the arena
+            // serializer is part of the contract) at the last hidden
+            // boundary.
+            (
+                "golden_artifact.json",
+                MonitorSpec::new(2, MonitorKind::interval(2)).robust(0.05, 0, Domain::Box),
+            ),
+            // Robust hash-set pattern monitors with Hamming tolerance 1 at
+            // the pre- and post-ReLU boundaries (the second restricted to a
+            // neuron subset), combined by `AtLeast(1)`.
+            (
+                "golden_multi_layer.json",
+                MonitorSpec::multi_layer(
+                    vec![
+                        WatchedLayer::whole(1),
+                        WatchedLayer::subset(2, vec![0, 3, 5, 7, 11]),
+                    ],
+                    MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 1),
+                    Vote::AtLeast(1),
+                )
+                .robust(0.02, 0, Domain::Box),
+            ),
+            // An enlarged min-max monitor per output class at the
+            // post-ReLU boundary.
+            (
+                "golden_per_class.json",
+                MonitorSpec::new(2, MonitorKind::min_max_enlarged(0.1)).per_class(3),
+            ),
         ]
     }
 
-    /// Builds a golden artifact for `spec` over the golden network and
-    /// training set (deterministic).
-    pub fn build_spec(spec: MonitorSpec) -> MonitorArtifact {
+    /// Builds the golden artifact for `spec` from scratch over the golden
+    /// network and training set (deterministic).
+    pub fn build(spec: MonitorSpec) -> MonitorArtifact {
         MonitorArtifact::build(spec, &network(), &train()).expect("golden fixture builds")
     }
 

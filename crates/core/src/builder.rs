@@ -11,8 +11,9 @@
 //! for v_tr ∈ Dtr:  M ← M ⊎_R ab_R(pe^G_k(v_tr, kp, Δ))   (robust)
 //! ```
 //!
-//! and it lives in [`crate::spec`]: [`MonitorSpec::build`](crate::MonitorSpec::build) is the one way
-//! to build a monitor.
+//! and it lives in [`crate::spec`]:
+//! [`MonitorSpec::build`](crate::MonitorSpec::build) is the one way to
+//! build a monitor.
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;

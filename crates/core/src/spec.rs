@@ -7,8 +7,8 @@
 //! ([`Composition`]), and whether construction may use all cores. It is
 //! the one way to build a monitor. A spec is *data*: it can be written to
 //! disk, reviewed, diffed, shipped to another machine, and rebuilt — or
-//! embedded in a `napmon-artifact` file next to the monitor it
-//! produced, so the deployed abstraction is always traceable to the exact
+//! embedded in a `napmon-artifact` file next to the monitor it produced,
+//! so the deployed abstraction is always traceable to the exact
 //! configuration that built it.
 //!
 //! [`MonitorSpec::build`] runs the paper's construction loop and returns a

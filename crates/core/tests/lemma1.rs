@@ -55,7 +55,9 @@ proptest! {
         let net = network(net_seed);
         let data = training_set(data_seed, 24);
         for kind in kinds() {
-            let monitor = MonitorSpec::new(4, kind.clone()).robust(delta, 0, Domain::Box).build(&net, &data)
+            let monitor = MonitorSpec::new(4, kind.clone())
+                .robust(delta, 0, Domain::Box)
+                .build(&net, &data)
                 .unwrap();
             let base = &data[pick % data.len()];
             let v_op: Vec<f64> = base.iter().zip(&dir).map(|(b, d)| b + d * delta).collect();
@@ -83,7 +85,9 @@ proptest! {
         let kp = 2usize;
         let k = 4usize;
         for kind in kinds() {
-            let monitor = MonitorSpec::new(k, kind.clone()).robust(delta, kp, Domain::Box).build(&net, &data)
+            let monitor = MonitorSpec::new(k, kind.clone())
+                .robust(delta, kp, Domain::Box)
+                .build(&net, &data)
                 .unwrap();
             // Perturb the layer-kp image directly and push it to layer k:
             // this is exactly the v̆ of Definition 1.
@@ -112,9 +116,13 @@ proptest! {
         let data = training_set(data_seed, 16);
         let d_large = d_small * growth;
         for kind in kinds() {
-            let small = MonitorSpec::new(4, kind.clone()).robust(d_small, 0, Domain::Box).build(&net, &data)
+            let small = MonitorSpec::new(4, kind.clone())
+                .robust(d_small, 0, Domain::Box)
+                .build(&net, &data)
                 .unwrap();
-            let large = MonitorSpec::new(4, kind.clone()).robust(d_large, 0, Domain::Box).build(&net, &data)
+            let large = MonitorSpec::new(4, kind.clone())
+                .robust(d_large, 0, Domain::Box)
+                .build(&net, &data)
                 .unwrap();
             // If the small monitor accepts, the large one must too.
             if !small.verdict(&net, &probe).unwrap().warning {
@@ -138,7 +146,9 @@ proptest! {
         let data = training_set(data_seed, 16);
         for kind in kinds() {
             let standard = MonitorSpec::new(4, kind.clone()).build(&net, &data).unwrap();
-            let zero = MonitorSpec::new(4, kind.clone()).robust(0.0, 0, Domain::Box).build(&net, &data)
+            let zero = MonitorSpec::new(4, kind.clone())
+                .robust(0.0, 0, Domain::Box)
+                .build(&net, &data)
                 .unwrap();
             for x in &data {
                 prop_assert!(!standard.verdict(&net, x).unwrap().warning);

@@ -1,5 +1,5 @@
-//! Facade-level artifact tests: the committed golden file loads, matches a
-//! fresh deterministic build bit-for-bit, and mounts on the serving
+//! Facade-level artifact tests: the committed golden files load, match a
+//! fresh deterministic build bit-for-bit, and mount on the serving
 //! engine; malformed files fail typed at every entry point.
 
 use napmon::artifact::{ArtifactError, MonitorArtifact, FORMAT_VERSION};
@@ -9,47 +9,24 @@ use napmon_bench::golden;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_artifact.json");
 
+/// Every committed golden — the single-boundary file plus the multi-layer
+/// and per-class composites, which pin the serde shape of the composite
+/// payloads — loads, matches a fresh spec build, and answers the probe
+/// corpus bit-identically.
 #[test]
 fn committed_golden_artifact_loads_and_matches_fresh_build() {
-    let loaded = MonitorArtifact::load_json(GOLDEN_PATH)
-        .expect("committed golden artifact must load under the current format version");
-    assert_eq!(loaded.format_version, FORMAT_VERSION);
-    let fresh = golden::build();
-    assert_eq!(loaded.spec(), fresh.spec());
-    assert_eq!(loaded.network(), fresh.network());
-    assert_eq!(loaded.stats(), fresh.stats());
-
     let probes = golden::probes();
-    assert_eq!(
-        loaded
-            .monitor()
-            .query_batch(loaded.network(), &probes)
-            .unwrap(),
-        fresh
-            .monitor()
-            .query_batch(fresh.network(), &probes)
-            .unwrap(),
-        "golden verdicts must be bit-identical to a fresh build"
-    );
-}
-
-/// The multi-layer and per-class goldens pin the serde shape of the
-/// composite payloads: each must load, match a fresh spec build, and
-/// answer the probe corpus bit-identically, with both verdict branches hit.
-#[test]
-fn committed_composite_goldens_load_and_match_fresh_builds() {
-    let probes = golden::probes();
-    for (file, spec) in [
-        ("golden_multi_layer.json", golden::multi_layer_spec()),
-        ("golden_per_class.json", golden::per_class_spec()),
-    ] {
+    for (file, spec) in golden::fixtures() {
         let path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
-        let loaded = MonitorArtifact::load_json(&path)
-            .unwrap_or_else(|e| panic!("committed {file} must load: {e}"));
-        let fresh = golden::build_spec(spec);
+        let loaded = MonitorArtifact::load_json(&path).unwrap_or_else(|e| {
+            panic!("committed {file} must load under the current format version: {e}")
+        });
+        assert_eq!(loaded.format_version, FORMAT_VERSION);
+        let fresh = golden::build(spec);
         assert_eq!(loaded.spec(), fresh.spec(), "{file}");
         assert_eq!(loaded.network(), fresh.network(), "{file}");
         assert_eq!(loaded.stats(), fresh.stats(), "{file}");
+
         let expected = fresh
             .monitor()
             .query_batch(fresh.network(), &probes)
@@ -60,12 +37,12 @@ fn committed_composite_goldens_load_and_match_fresh_builds() {
                 .query_batch(loaded.network(), &probes)
                 .unwrap(),
             expected,
-            "{file}: verdicts must be bit-identical to a fresh build"
+            "{file}: golden verdicts must be bit-identical to a fresh build"
         );
         let warnings = expected.iter().filter(|v| v.warning).count();
         assert!(
             warnings > 0 && warnings < probes.len(),
-            "{file}: {warnings}"
+            "{file}: the probes must hit both verdict branches ({warnings} warned)"
         );
     }
 }

@@ -114,12 +114,7 @@ fn gaussian_per_class_monitoring_detects_phantom_cluster() {
         .build_with_labels(&net, &train.inputs, labels)
         .unwrap();
 
-    let rate = |xs: &[Vec<f64>]| {
-        xs.iter()
-            .filter(|x| pc.verdict(&net, x).unwrap().warning)
-            .count() as f64
-            / xs.len() as f64
-    };
+    let rate = |xs: &[Vec<f64>]| warn_rate(&pc, &net, xs);
     let fp = rate(&test.inputs);
     let det = rate(&ood);
     assert!(det > fp, "detection {det} should exceed FP {fp}");
