@@ -67,9 +67,8 @@ impl Verdict {
 /// the network's ping-pong forward buffers, the projected feature vector,
 /// and the packed abstraction word. [`Monitor::query_batch`] (and
 /// [`Monitor::query_batch_parallel_with`]) allocate one scratch per worker
-/// and reuse it across
-/// the whole batch, so per-query heap allocation drops to zero once the
-/// buffers have grown — the operational regime the paper's "operation
+/// and reuse it across the whole batch, so per-query heap allocation
+/// drops to zero once the buffers have grown — the operational regime the paper's "operation
 /// time" monitors run in.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
@@ -239,11 +238,12 @@ pub trait Monitor {
     }
 }
 
-/// The fan-out behind [`Monitor::query_batch_parallel_with`]: chunks `inputs`
-/// across `threads` workers via `std::thread::scope`, runs `query_chunk`
-/// per worker (each call gets a contiguous sub-slice and allocates its own
-/// scratch inside), and restitches results in input order. Falls back to
-/// one direct call when parallelism cannot pay for the thread spawns.
+/// The fan-out behind [`Monitor::query_batch_parallel_with`]: chunks
+/// `inputs` across `threads` workers via `std::thread::scope`, runs
+/// `query_chunk` per worker (each call gets a contiguous sub-slice and
+/// allocates its own scratch inside), and restitches results in input
+/// order. Falls back to one direct call when parallelism cannot pay for
+/// the thread spawns.
 fn fan_out_batch<F>(
     inputs: &[Vec<f64>],
     threads: usize,
