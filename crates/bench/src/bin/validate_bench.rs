@@ -432,47 +432,10 @@ struct CompareSpec {
     top_ratio_ceiling: &'static [&'static str],
     /// Per-row within-run ratios, higher is better.
     row_ratio_floor: &'static [&'static str],
-    /// Per-row keys that may appear in the fresh report without existing
-    /// in the baseline — a one-way tolerance for *additive* schema
-    /// growth, so a PR introducing new counters does not trip the drift
-    /// gate against the pre-PR baseline. A key *vanishing* is still
-    /// drift, and once the baseline carries the key it is compared like
-    /// any other.
-    row_tolerated_new: &'static [&'static str],
-    /// Same one-way tolerance for *top-level* keys. If the spec's own
-    /// `row_field` is listed here and absent from the baseline, the whole
-    /// spec is skipped (with a printed note) instead of failing — that is
-    /// how a brand-new row matrix rides past a pre-PR baseline.
-    top_tolerated_new: &'static [&'static str],
 }
 
-/// The degradation counters `BENCH_wire.json` rows grew with the
-/// graceful-degradation work; shared by schema validation and the
-/// compare-mode tolerance.
+/// The degradation counters every `BENCH_wire.json` row carries.
 const WIRE_DEGRADED_KEYS: [&str; 3] = ["degraded_busy", "degraded_shed", "degraded_evicted"];
-
-/// Top-level keys `BENCH_wire.json` grew with the reactor rework (the
-/// idle-herd row and its liftable overhead ratio); tolerated one-way
-/// against pre-reactor baselines.
-const WIRE_TOP_TOLERATED: [&str; 2] = ["high_connection", "high_conn_overhead"];
-
-/// Top-level keys `BENCH_query.json` grew with the bit-sliced batch
-/// kernel; tolerated one-way against pre-kernel baselines. Shared by both
-/// query specs so their top-level drift checks agree.
-const QUERY_TOP_TOLERATED: [&str; 3] = ["hamming_results", "min_sliced_hamming_speedup", "smoke"];
-
-/// Top-level keys `BENCH_serve.json` grew with the multi-tenant registry
-/// (dispatch/shadow overheads, flip latency, structured smoke flag) and
-/// the observability work (probe overhead row); tolerated one-way
-/// against older baselines.
-const SERVE_TOP_TOLERATED: [&str; 6] = [
-    "registry_dispatch_qps",
-    "registry_dispatch_overhead",
-    "registry_shadow_overhead",
-    "registry_flip_latency_us",
-    "obs_overhead",
-    "smoke",
-];
 
 const COMPARE_SPECS: [CompareSpec; 6] = [
     CompareSpec {
@@ -485,12 +448,9 @@ const COMPARE_SPECS: [CompareSpec; 6] = [
         top_ratio_floor: &["min_speedup_vs_naive_vec_bool"],
         top_ratio_ceiling: &[],
         row_ratio_floor: &["membership_speedup"],
-        row_tolerated_new: &[],
-        top_tolerated_new: &QUERY_TOP_TOLERATED,
     },
-    // Second view of the same file: the Hamming-ball matrix added with
-    // the bit-sliced batch kernel. Its row array did not exist in older
-    // baselines, so the whole spec is tolerated-new.
+    // Second view of the same file: the Hamming-ball matrix of the
+    // bit-sliced batch kernel.
     CompareSpec {
         name: "BENCH_query.json",
         row_field: "hamming_results",
@@ -504,8 +464,6 @@ const COMPARE_SPECS: [CompareSpec; 6] = [
         top_ratio_floor: &["min_sliced_hamming_speedup"],
         top_ratio_ceiling: &[],
         row_ratio_floor: &[],
-        row_tolerated_new: &[],
-        top_tolerated_new: &QUERY_TOP_TOLERATED,
     },
     CompareSpec {
         name: "BENCH_serve.json",
@@ -523,8 +481,6 @@ const COMPARE_SPECS: [CompareSpec; 6] = [
         top_ratio_floor: &[],
         top_ratio_ceiling: &["registry_dispatch_overhead", "registry_shadow_overhead"],
         row_ratio_floor: &[],
-        row_tolerated_new: &[],
-        top_tolerated_new: &SERVE_TOP_TOLERATED,
     },
     CompareSpec {
         name: "BENCH_artifact.json",
@@ -536,8 +492,6 @@ const COMPARE_SPECS: [CompareSpec; 6] = [
         top_ratio_floor: &[],
         top_ratio_ceiling: &[],
         row_ratio_floor: &[],
-        row_tolerated_new: &[],
-        top_tolerated_new: &[],
     },
     CompareSpec {
         name: "BENCH_store.json",
@@ -553,8 +507,6 @@ const COMPARE_SPECS: [CompareSpec; 6] = [
         top_ratio_floor: &[],
         top_ratio_ceiling: &[],
         row_ratio_floor: &[],
-        row_tolerated_new: &["hamming_store_speedup"],
-        top_tolerated_new: &[],
     },
     CompareSpec {
         name: "BENCH_wire.json",
@@ -566,8 +518,6 @@ const COMPARE_SPECS: [CompareSpec; 6] = [
         top_ratio_floor: &[],
         top_ratio_ceiling: &["wire_overhead_1client", "high_conn_overhead"],
         row_ratio_floor: &[],
-        row_tolerated_new: &WIRE_DEGRADED_KEYS,
-        top_tolerated_new: &WIRE_TOP_TOLERATED,
     },
 ];
 
@@ -633,34 +583,11 @@ fn compare_report(spec: &CompareSpec, baseline_dir: &str, tol: f64) -> usize {
     let baseline = load_from(baseline_dir, name);
 
     // Schema drift: key sets must agree exactly, top-level and per row.
-    // Top-level keys get the same one-way additive tolerance as row keys.
-    let top_tolerated_only_fresh = |key: &String| {
-        spec.top_tolerated_new.contains(&key.as_str())
-            && matches!(baseline[key.as_str()], Value::Null)
-    };
-    let fresh_top_keys: Vec<String> = sorted_keys(&fresh)
-        .into_iter()
-        .filter(|k| !top_tolerated_only_fresh(k))
-        .collect();
-    let top_skipped = sorted_keys(&fresh).len() - fresh_top_keys.len();
-    if top_skipped > 0 {
-        println!("{name}: tolerating {top_skipped} new top-level key(s) absent from the baseline");
-    }
     assert_eq!(
-        fresh_top_keys,
+        sorted_keys(&fresh),
         sorted_keys(&baseline),
         "{name}: top-level schema drifted from the baseline"
     );
-    // A tolerated-new row matrix has nothing to diff against yet.
-    if matches!(baseline[spec.row_field], Value::Null)
-        && spec.top_tolerated_new.contains(&spec.row_field)
-    {
-        println!(
-            "{name}: `{}` diff skipped (matrix absent from the baseline)",
-            spec.row_field
-        );
-        return 0;
-    }
     let (Value::Array(fresh_rows), Value::Array(base_rows)) =
         (&fresh[spec.row_field], &baseline[spec.row_field])
     else {
@@ -680,26 +607,8 @@ fn compare_report(spec: &CompareSpec, baseline_dir: &str, tol: f64) -> usize {
             identity(spec, base_row),
             "{name}: row identity drifted from the baseline"
         );
-        // Additive tolerance: a key on the allowlist may exist in the
-        // fresh row while the (older) baseline lacks it. Everything else
-        // — including a tolerated key *vanishing* — is still drift.
-        let tolerated_only_fresh = |key: &String| {
-            spec.row_tolerated_new.contains(&key.as_str())
-                && matches!(base_row[key.as_str()], Value::Null)
-        };
-        let fresh_keys: Vec<String> = sorted_keys(fresh_row)
-            .into_iter()
-            .filter(|k| !tolerated_only_fresh(k))
-            .collect();
-        let skipped = sorted_keys(fresh_row).len() - fresh_keys.len();
-        if skipped > 0 {
-            println!(
-                "{name}: {} tolerating {skipped} new key(s) absent from the baseline",
-                identity(spec, fresh_row)
-            );
-        }
         assert_eq!(
-            fresh_keys,
+            sorted_keys(fresh_row),
             sorted_keys(base_row),
             "{name}: row schema drifted from the baseline ({})",
             identity(spec, fresh_row)
@@ -715,10 +624,6 @@ fn compare_report(spec: &CompareSpec, baseline_dir: &str, tol: f64) -> usize {
     // would be vacuous whenever the CI runner differs from the machine
     // that produced the committed baselines.
     for key in spec.top_ratio_floor {
-        if matches!(baseline[*key], Value::Null) && spec.top_tolerated_new.contains(key) {
-            println!("{name}: {key} diff skipped (figure absent from the baseline)");
-            continue;
-        }
         compared += 1;
         let fresh_v = number(name, &fresh, key);
         let base_v = number(name, &baseline, key);
@@ -731,12 +636,6 @@ fn compare_report(spec: &CompareSpec, baseline_dir: &str, tol: f64) -> usize {
         );
     }
     for key in spec.top_ratio_ceiling {
-        // Same one-way tolerance as the floor loop above: a ceiling ratio
-        // introduced by this PR has no baseline figure to diff against.
-        if matches!(baseline[*key], Value::Null) && spec.top_tolerated_new.contains(key) {
-            println!("{name}: {key} diff skipped (figure absent from the baseline)");
-            continue;
-        }
         compared += 1;
         let fresh_v = number(name, &fresh, key);
         let base_v = number(name, &baseline, key);
@@ -750,13 +649,6 @@ fn compare_report(spec: &CompareSpec, baseline_dir: &str, tol: f64) -> usize {
     }
     for (fresh_row, base_row) in fresh_rows.iter().zip(base_rows) {
         for key in spec.row_ratio_floor {
-            if matches!(base_row[*key], Value::Null) && spec.row_tolerated_new.contains(key) {
-                println!(
-                    "{name}: {} {key} diff skipped (figure absent from the baseline)",
-                    identity(spec, fresh_row)
-                );
-                continue;
-            }
             compared += 1;
             let fresh_v = number(name, fresh_row, key);
             let base_v = number(name, base_row, key);

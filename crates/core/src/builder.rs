@@ -21,7 +21,11 @@ use crate::interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::{Monitor, QueryScratch, Verdict};
 use crate::pattern::{PatternBackend, PatternMonitor};
-use napmon_absint::Domain;
+use crate::score::ScoredMonitor;
+use crate::source::{SharedPatternSource, SourceDescriptor};
+use crate::words::PatternFamily;
+use napmon_absint::{BoxBounds, Domain};
+use napmon_bdd::BitWord;
 use napmon_nn::Network;
 use serde::{Deserialize, Serialize};
 
@@ -149,6 +153,34 @@ impl AnyMonitor {
         }
     }
 
+    /// The monitor of whichever family was built; the trait impls
+    /// dispatch through it.
+    pub(crate) fn family(&self) -> &dyn ScoredMonitor {
+        match self {
+            AnyMonitor::MinMax(m) => m,
+            AnyMonitor::Pattern(m) => m,
+            AnyMonitor::Interval(m) => m,
+        }
+    }
+
+    /// The pattern family behind the monitor: the one accessor the
+    /// word-set and source plumbing below dispatches through.
+    fn pattern_family(&self) -> Option<&dyn PatternFamily> {
+        match self {
+            AnyMonitor::MinMax(_) => None,
+            AnyMonitor::Pattern(m) => Some(m),
+            AnyMonitor::Interval(m) => Some(m),
+        }
+    }
+
+    fn pattern_family_mut(&mut self) -> Option<&mut dyn PatternFamily> {
+        match self {
+            AnyMonitor::MinMax(_) => None,
+            AnyMonitor::Pattern(m) => Some(m),
+            AnyMonitor::Interval(m) => Some(m),
+        }
+    }
+
     /// Fraction of the abstract pattern space the monitor admits, when the
     /// family has a meaningful notion of coverage (pattern families only).
     pub fn coverage(&self) -> Option<f64> {
@@ -171,31 +203,20 @@ impl AnyMonitor {
     /// Number of distinct abstract patterns admitted, when the family
     /// counts patterns (pattern families only).
     pub fn pattern_count(&self) -> Option<f64> {
-        match self {
-            AnyMonitor::MinMax(_) => None,
-            AnyMonitor::Pattern(m) => Some(m.pattern_count()),
-            AnyMonitor::Interval(m) => Some(m.pattern_count()),
-        }
+        Some(self.pattern_family()?.word_set().pattern_count())
     }
 
     /// The descriptor of the monitor's external pattern source, when its
     /// word set is store-backed.
-    pub fn external_descriptor(&self) -> Option<&crate::source::SourceDescriptor> {
-        match self {
-            AnyMonitor::MinMax(_) => None,
-            AnyMonitor::Pattern(m) => m.external_descriptor(),
-            AnyMonitor::Interval(m) => m.external_descriptor(),
-        }
+    pub fn external_descriptor(&self) -> Option<&SourceDescriptor> {
+        self.pattern_family()?.word_set().descriptor()
     }
 
     /// Whether the monitor is store-backed but detached (fresh from
     /// deserialization).
     pub fn needs_source(&self) -> bool {
-        match self {
-            AnyMonitor::MinMax(_) => false,
-            AnyMonitor::Pattern(m) => m.needs_source(),
-            AnyMonitor::Interval(m) => m.needs_source(),
-        }
+        self.pattern_family()
+            .is_some_and(|m| m.word_set().needs_source())
     }
 
     /// Reattaches a live source to a store-backed monitor.
@@ -205,17 +226,13 @@ impl AnyMonitor {
     /// Returns [`MonitorError::ExternalSource`] for a non-store-backed
     /// monitor, or [`MonitorError::DimensionMismatch`] on word-width
     /// disagreement.
-    pub fn attach_source(
-        &mut self,
-        source: crate::source::SharedPatternSource,
-    ) -> Result<(), MonitorError> {
-        match self {
-            AnyMonitor::MinMax(_) => Err(MonitorError::ExternalSource(
-                "min-max monitors have no pattern source".into(),
-            )),
-            AnyMonitor::Pattern(m) => m.attach_source(source),
-            AnyMonitor::Interval(m) => m.attach_source(source),
-        }
+    pub fn attach_source(&mut self, source: SharedPatternSource) -> Result<(), MonitorError> {
+        self.pattern_family_mut()
+            .ok_or_else(|| {
+                MonitorError::ExternalSource("min-max monitors have no pattern source".into())
+            })?
+            .word_set_mut()
+            .attach(source)
     }
 
     /// Flushes a store-backed monitor's buffered writes (no-op otherwise).
@@ -224,10 +241,26 @@ impl AnyMonitor {
     ///
     /// Returns [`MonitorError::ExternalSource`] if the store fails.
     pub fn commit_source(&self) -> Result<(), MonitorError> {
+        self.pattern_family()
+            .map_or(Ok(()), |m| m.word_set().commit())
+    }
+
+    /// Full verdict for an already-extracted feature vector (the member's
+    /// step of a multi-layer query, which runs one forward pass for all
+    /// members).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the monitor dimension.
+    pub fn verdict_features_scratch(
+        &self,
+        features: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Verdict {
         match self {
-            AnyMonitor::MinMax(_) => Ok(()),
-            AnyMonitor::Pattern(m) => m.commit_source(),
-            AnyMonitor::Interval(m) => m.commit_source(),
+            AnyMonitor::MinMax(m) => m.verdict_features(features),
+            AnyMonitor::Pattern(m) => m.verdict_features_scratch(features, scratch),
+            AnyMonitor::Interval(m) => m.verdict_features_scratch(features, scratch),
         }
     }
 
@@ -259,13 +292,14 @@ impl AnyMonitor {
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn absorb_features_shared(&self, features: &[f64]) -> Result<bool, MonitorError> {
-        match self {
-            AnyMonitor::MinMax(_) => Err(MonitorError::ExternalSource(
+        let m = self.pattern_family().ok_or_else(|| {
+            MonitorError::ExternalSource(
                 "min-max monitors have no pattern source to absorb into".into(),
-            )),
-            AnyMonitor::Pattern(m) => m.absorb_features_shared(features),
-            AnyMonitor::Interval(m) => m.absorb_features_shared(features),
-        }
+            )
+        })?;
+        let mut word = BitWord::default();
+        m.abstract_into(features, &mut word);
+        m.word_set().insert_shared(&word)
     }
 
     /// Runs `net` on `input` and absorbs the resulting pattern through
@@ -279,6 +313,18 @@ impl AnyMonitor {
     pub fn absorb_input_mut(&mut self, net: &Network, input: &[f64]) -> Result<(), MonitorError> {
         let features = self.extractor().features(net, input)?;
         self.absorb_features_mut(&features)
+    }
+
+    /// Folds one perturbation estimate (robust construction, `⊎_R`).
+    pub(crate) fn absorb_bounds(&mut self, bounds: &BoxBounds) -> Result<(), MonitorError> {
+        match self {
+            AnyMonitor::MinMax(m) => {
+                m.absorb_bounds(bounds);
+                Ok(())
+            }
+            AnyMonitor::Pattern(m) => m.absorb_bounds_checked(bounds),
+            AnyMonitor::Interval(m) => m.absorb_bounds_checked(bounds),
+        }
     }
 
     /// Feature-level form of [`AnyMonitor::absorb_input_mut`].
@@ -304,27 +350,16 @@ impl AnyMonitor {
 
 impl Monitor for AnyMonitor {
     fn extractor(&self) -> &FeatureExtractor {
-        match self {
-            AnyMonitor::MinMax(m) => m.extractor(),
-            AnyMonitor::Pattern(m) => m.extractor(),
-            AnyMonitor::Interval(m) => m.extractor(),
-        }
+        self.family().extractor()
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        match self {
-            AnyMonitor::MinMax(m) => m.verdict_features(features),
-            AnyMonitor::Pattern(m) => m.verdict_features(features),
-            AnyMonitor::Interval(m) => m.verdict_features(features),
-        }
-    }
-
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        match self {
-            AnyMonitor::MinMax(m) => m.verdict_features_scratch(features, scratch),
-            AnyMonitor::Pattern(m) => m.verdict_features_scratch(features, scratch),
-            AnyMonitor::Interval(m) => m.verdict_features_scratch(features, scratch),
-        }
+    fn verdict_scratch(
+        &self,
+        net: &Network,
+        input: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Result<Verdict, MonitorError> {
+        self.family().verdict_scratch(net, input, scratch)
     }
 
     fn verdict_batch_scratch(
@@ -334,11 +369,8 @@ impl Monitor for AnyMonitor {
         scratch: &mut QueryScratch,
         out: &mut Vec<Verdict>,
     ) -> Result<(), MonitorError> {
-        match self {
-            AnyMonitor::MinMax(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
-            AnyMonitor::Pattern(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
-            AnyMonitor::Interval(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
-        }
+        self.family()
+            .verdict_batch_scratch(net, inputs, scratch, out)
     }
 }
 

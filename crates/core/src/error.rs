@@ -18,6 +18,16 @@ pub enum MonitorError {
         /// Provided dimension.
         actual: usize,
     },
+    /// An input holds a NaN or infinite value: it lies outside every
+    /// monitor's domain, so it gets this refusal instead of a verdict.
+    NonFinite {
+        /// What was being checked.
+        context: String,
+        /// Index of the first non-finite value.
+        position: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// The monitor cannot be built from an empty training set.
     EmptyTrainingSet,
     /// A configuration value is invalid (layer out of range, kp ≥ k, …).
@@ -40,6 +50,14 @@ impl fmt::Display for MonitorError {
                     "dimension mismatch in {context}: expected {expected}, got {actual}"
                 )
             }
+            MonitorError::NonFinite {
+                context,
+                position,
+                value,
+            } => write!(
+                f,
+                "non-finite value {value} at position {position} of {context}"
+            ),
             MonitorError::EmptyTrainingSet => {
                 write!(f, "monitor construction needs a non-empty training set")
             }

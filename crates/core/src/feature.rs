@@ -151,15 +151,10 @@ impl FeatureExtractor {
     /// # Errors
     ///
     /// Returns [`MonitorError::DimensionMismatch`] if `input` does not match
-    /// the network input dimension.
+    /// the network input dimension and [`MonitorError::NonFinite`] if it
+    /// holds a NaN or infinite value.
     pub fn features(&self, net: &Network, input: &[f64]) -> Result<Vec<f64>, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "feature extraction input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
+        check_input(net, input, &"feature extraction input")?;
         Ok(self.project(&net.forward_prefix(input, self.layer)))
     }
 
@@ -168,8 +163,7 @@ impl FeatureExtractor {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not match
-    /// the network input dimension.
+    /// Same conditions as [`FeatureExtractor::features`].
     pub fn features_into(
         &self,
         net: &Network,
@@ -177,16 +171,36 @@ impl FeatureExtractor {
         forward: &mut ForwardScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "feature extraction input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
+        check_input(net, input, &"feature extraction input")?;
         let full = net.forward_prefix_into(input, self.layer, forward);
         self.project_into(full, out);
         Ok(())
+    }
+}
+
+/// The one check every query, absorb and build path runs on a network
+/// input: it must have the network's input width and hold only finite
+/// values. `context` names the input in the error and is only formatted
+/// on refusal.
+pub(crate) fn check_input(
+    net: &Network,
+    input: &[f64],
+    context: &dyn std::fmt::Display,
+) -> Result<(), MonitorError> {
+    if input.len() != net.input_dim() {
+        return Err(MonitorError::DimensionMismatch {
+            context: context.to_string(),
+            expected: net.input_dim(),
+            actual: input.len(),
+        });
+    }
+    match input.iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(position) => Err(MonitorError::NonFinite {
+            context: context.to_string(),
+            position,
+            value: input[position],
+        }),
     }
 }
 
@@ -257,6 +271,25 @@ mod tests {
         let p = fx.project_bounds(&b);
         assert_eq!(p.lo(), &[1.0, 3.0]);
         assert_eq!(p.hi(), &[1.5, 3.5]);
+    }
+
+    #[test]
+    fn non_finite_input_is_refused_at_its_position() {
+        let net = net();
+        let fx = FeatureExtractor::new(&net, 1).unwrap();
+        for (position, value) in [(0, f64::NAN), (3, f64::INFINITY), (1, f64::NEG_INFINITY)] {
+            let mut input = vec![0.5; 4];
+            input[position] = value;
+            let err = fx.features(&net, &input).unwrap_err();
+            assert!(
+                matches!(err, MonitorError::NonFinite { position: p, .. } if p == position),
+                "{err}"
+            );
+            assert!(err.to_string().contains(&format!("position {position}")));
+            let mut out = Vec::new();
+            let refused = fx.features_into(&net, &input, &mut ForwardScratch::default(), &mut out);
+            assert!(matches!(refused, Err(MonitorError::NonFinite { .. })));
+        }
     }
 
     #[test]

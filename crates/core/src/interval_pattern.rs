@@ -18,10 +18,11 @@
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::monitor::{Monitor, QueryScratch, Verdict, Violation};
-use crate::source::{ExternalHandle, SharedPatternSource, SourceDescriptor};
+use crate::monitor::{Monitor, QueryScratch, Verdict};
+use crate::source::{SharedPatternSource, SourceDescriptor};
+use crate::words::{self, PatternFamily, WordSet};
 use napmon_absint::BoxBounds;
-use napmon_bdd::{Bdd, BitWord, NodeId};
+use napmon_bdd::BitWord;
 use napmon_nn::Network;
 use napmon_tensor::stats;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
@@ -112,32 +113,33 @@ impl ThresholdPolicy {
                         actual: lists.len(),
                     });
                 }
-                for (j, list) in lists.iter().enumerate() {
-                    if list.len() != per_neuron {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "neuron {j}: expected {per_neuron} thresholds, got {}",
-                            list.len()
-                        )));
-                    }
-                    if list.windows(2).any(|w| w[0] >= w[1]) {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "neuron {j}: thresholds not ascending"
-                        )));
-                    }
-                }
+                check_thresholds(lists, bits)?;
                 Ok(lists.clone())
             }
         }
     }
 }
 
-/// Where an interval monitor's symbol-word set lives: the paper's BDD, or
-/// an external [`crate::PatternSource`] over the packed `B·d`-bit
-/// encoding.
-#[derive(Debug, Clone)]
-enum IntervalStore {
-    Bdd { bdd: Bdd, root: NodeId },
-    External(ExternalHandle),
+/// Checks per-neuron threshold lists for `bits`-bit patterns: `2^bits − 1`
+/// strictly ascending, finite thresholds per neuron.
+pub(crate) fn check_thresholds(lists: &[Vec<f64>], bits: usize) -> Result<(), MonitorError> {
+    let per_neuron = (1usize << bits) - 1;
+    for (j, list) in lists.iter().enumerate() {
+        let fault = if list.len() != per_neuron {
+            format!(
+                "expected {per_neuron} thresholds for {bits}-bit patterns, got {}",
+                list.len()
+            )
+        } else if list.windows(2).any(|w| w[0] >= w[1]) {
+            "thresholds not ascending".into()
+        } else if list.iter().any(|c| !c.is_finite()) {
+            "thresholds must be finite".into()
+        } else {
+            continue;
+        };
+        return Err(MonitorError::InvalidConfig(format!("neuron {j}: {fault}")));
+    }
+    Ok(())
 }
 
 /// A multi-bit interval activation-pattern monitor with `B` variables per
@@ -150,7 +152,8 @@ pub struct IntervalPatternMonitor {
     bits: usize,
     /// Per neuron: `2^B − 1` ascending thresholds.
     thresholds: Vec<Vec<f64>>,
-    store: IntervalStore,
+    /// The BDD or an external source; never the hash set.
+    store: WordSet,
     samples: usize,
 }
 
@@ -171,13 +174,14 @@ impl Serialize for IntervalPatternMonitor {
         put("thresholds", serde::to_value(&self.thresholds)).map_err(S::Error::custom)?;
         put("samples", serde::to_value(&self.samples)).map_err(S::Error::custom)?;
         match &self.store {
-            IntervalStore::Bdd { bdd, root } => {
+            WordSet::Bdd { bdd, root } => {
                 put("bdd", serde::to_value(bdd)).map_err(S::Error::custom)?;
                 put("root", serde::to_value(root)).map_err(S::Error::custom)?;
             }
-            IntervalStore::External(handle) => {
+            WordSet::External(handle) => {
                 put("external", serde::to_value(handle)).map_err(S::Error::custom)?;
             }
+            WordSet::Hash(_) => unreachable!("interval monitors are never hash-backed"),
         }
         serializer.serialize_value(serde::Value::Object(map))
     }
@@ -204,9 +208,9 @@ impl<'de> Deserialize<'de> for IntervalPatternMonitor {
         let samples: usize =
             serde::from_value(take(&mut map, "samples")?).map_err(D::Error::custom)?;
         let store = if let Some(external) = map.remove("external") {
-            IntervalStore::External(serde::from_value(external).map_err(D::Error::custom)?)
+            WordSet::External(serde::from_value(external).map_err(D::Error::custom)?)
         } else {
-            IntervalStore::Bdd {
+            WordSet::Bdd {
                 bdd: serde::from_value(take(&mut map, "bdd")?).map_err(D::Error::custom)?,
                 root: serde::from_value(take(&mut map, "root")?).map_err(D::Error::custom)?,
             }
@@ -227,7 +231,7 @@ impl IntervalPatternMonitor {
     /// # Errors
     ///
     /// Returns [`MonitorError::InvalidConfig`] for `bits` outside `1..=8`
-    /// or malformed thresholds (wrong count, not ascending).
+    /// or malformed thresholds (wrong count, not ascending, not finite).
     pub fn empty(
         extractor: FeatureExtractor,
         bits: usize,
@@ -245,29 +249,12 @@ impl IntervalPatternMonitor {
                 actual: thresholds.len(),
             });
         }
-        let per_neuron = (1usize << bits) - 1;
-        for (j, list) in thresholds.iter().enumerate() {
-            if list.len() != per_neuron {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "neuron {j}: expected {per_neuron} thresholds, got {}",
-                    list.len()
-                )));
-            }
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "neuron {j}: thresholds not ascending"
-                )));
-            }
-        }
-        let bdd = Bdd::new(extractor.dim() * bits);
+        check_thresholds(&thresholds, bits)?;
         Ok(Self {
+            store: WordSet::bdd(extractor.dim() * bits),
             extractor,
             bits,
             thresholds,
-            store: IntervalStore::Bdd {
-                bdd,
-                root: Bdd::FALSE,
-            },
             samples: 0,
         })
     }
@@ -290,16 +277,8 @@ impl IntervalPatternMonitor {
         source: SharedPatternSource,
     ) -> Result<Self, MonitorError> {
         let mut monitor = Self::empty(extractor, bits, thresholds)?;
-        let handle = ExternalHandle::attached(source);
-        let expected = monitor.extractor.dim() * bits;
-        if handle.descriptor().word_bits != expected {
-            return Err(MonitorError::DimensionMismatch {
-                context: "interval pattern source word width".into(),
-                expected,
-                actual: handle.descriptor().word_bits,
-            });
-        }
-        monitor.store = IntervalStore::External(handle);
+        let word_bits = monitor.extractor.dim() * bits;
+        monitor.store = WordSet::attached(source, word_bits, "interval pattern source word width")?;
         Ok(monitor)
     }
 
@@ -412,13 +391,7 @@ impl IntervalPatternMonitor {
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn absorb_point_checked(&mut self, features: &[f64]) -> Result<(), MonitorError> {
-        let word = self.abstract_bitword(features);
-        match &mut self.store {
-            IntervalStore::Bdd { bdd, root } => *root = bdd.insert_word(*root, &word),
-            IntervalStore::External(handle) => {
-                handle.insert(&word)?;
-            }
-        }
+        self.store.insert(self.abstract_bitword(features))?;
         self.samples += 1;
         Ok(())
     }
@@ -437,14 +410,7 @@ impl IntervalPatternMonitor {
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn absorb_features_shared(&self, features: &[f64]) -> Result<bool, MonitorError> {
-        let IntervalStore::External(handle) = &self.store else {
-            return Err(MonitorError::ExternalSource(
-                "operation-time absorption needs a store-backed monitor \
-                 (IntervalPatternMonitor::with_source)"
-                    .into(),
-            ));
-        };
-        handle.insert(&self.abstract_bitword(features))
+        self.store.insert_shared(&self.abstract_bitword(features))
     }
 
     /// Folds one perturbation estimate (robust construction): per neuron
@@ -491,11 +457,11 @@ impl IntervalPatternMonitor {
             .collect();
         let bits = self.bits;
         match &mut self.store {
-            IntervalStore::Bdd { bdd, root } => {
+            WordSet::Bdd { bdd, root } => {
                 let cube = bdd.product_of_blocks(&blocks, bits);
                 *root = bdd.or(*root, cube);
             }
-            IntervalStore::External(handle) => {
+            words => {
                 // Overflow-proof product: bail out the moment the running
                 // expansion passes the cap, so a 2^64-word product can
                 // neither wrap past the check nor hang the enumeration.
@@ -514,7 +480,7 @@ impl IntervalPatternMonitor {
                         let symbol = blocks[i / bits][indices[i / bits]];
                         (symbol >> (bits - 1 - i % bits)) & 1 == 1
                     });
-                    handle.insert(&word)?;
+                    words.insert(word)?;
                     let mut j = blocks.len();
                     loop {
                         if j == 0 {
@@ -546,10 +512,7 @@ impl IntervalPatternMonitor {
     /// Panics if `word.len() != dim * bits`.
     #[inline]
     pub fn contains_packed(&self, word: &BitWord) -> bool {
-        match &self.store {
-            IntervalStore::Bdd { bdd, root } => bdd.eval(*root, word),
-            IntervalStore::External(handle) => handle.contains(word),
-        }
+        self.store.contains(word)
     }
 
     /// Whether some recorded bit word is within Hamming distance `tau` of
@@ -564,13 +527,8 @@ impl IntervalPatternMonitor {
         word: &W,
         tau: usize,
     ) -> bool {
-        match &self.store {
-            IntervalStore::Bdd { bdd, root } => bdd.contains_within_hamming(*root, word, tau),
-            IntervalStore::External(handle) => {
-                let packed = BitWord::from_fn(word.bit_len(), |i| word.bit(i));
-                handle.contains_within(&packed, tau)
-            }
-        }
+        let packed = BitWord::from_fn(word.bit_len(), |i| word.bit(i));
+        self.store.contains_within(&packed, tau)
     }
 
     /// Number of absorbed samples.
@@ -581,31 +539,19 @@ impl IntervalPatternMonitor {
     /// Number of distinct symbol words admitted. Live for store-backed
     /// monitors: operation-time absorptions move it.
     pub fn pattern_count(&self) -> f64 {
-        match &self.store {
-            IntervalStore::Bdd { bdd, root } => bdd.satcount(*root),
-            IntervalStore::External(handle) => handle.word_count() as f64,
-        }
+        self.store.pattern_count()
     }
 
     /// Fraction of the `2^{B·d}` pattern space admitted (monitor
     /// "efficiency" in the sense of the paper's conclusion).
     pub fn coverage(&self) -> f64 {
-        match &self.store {
-            IntervalStore::Bdd { bdd, root } => bdd.coverage(*root),
-            IntervalStore::External(handle) => {
-                let dim_bits = (self.thresholds.len() * self.bits) as i32;
-                handle.word_count() as f64 / 2f64.powi(dim_bits)
-            }
-        }
+        self.pattern_count() / 2f64.powi((self.thresholds.len() * self.bits) as i32)
     }
 
     /// Memory proxy: BDD nodes reachable from the root, or external-store
     /// words.
     pub fn store_size(&self) -> usize {
-        match &self.store {
-            IntervalStore::Bdd { bdd, root } => bdd.reachable_nodes(*root),
-            IntervalStore::External(handle) => handle.store_size(),
-        }
+        self.store.store_size()
     }
 
     /// Per-neuron thresholds.
@@ -616,16 +562,13 @@ impl IntervalPatternMonitor {
     /// The descriptor of the external source, if the monitor is
     /// store-backed.
     pub fn external_descriptor(&self) -> Option<&SourceDescriptor> {
-        match &self.store {
-            IntervalStore::External(handle) => Some(handle.descriptor()),
-            _ => None,
-        }
+        self.store.descriptor()
     }
 
     /// Whether the monitor is store-backed but its handle is detached
     /// (fresh from deserialization).
     pub fn needs_source(&self) -> bool {
-        matches!(&self.store, IntervalStore::External(h) if !h.is_attached())
+        self.store.needs_source()
     }
 
     /// Reattaches (or replaces) the external source behind a store-backed
@@ -637,12 +580,7 @@ impl IntervalPatternMonitor {
     /// BDD-backed, or [`MonitorError::DimensionMismatch`] on word-width
     /// disagreement.
     pub fn attach_source(&mut self, source: SharedPatternSource) -> Result<(), MonitorError> {
-        match &mut self.store {
-            IntervalStore::External(handle) => handle.attach(source),
-            _ => Err(MonitorError::ExternalSource(
-                "monitor is not store-backed; nothing to attach".into(),
-            )),
-        }
+        self.store.attach(source)
     }
 
     /// Flushes the external source's buffered writes, if any.
@@ -651,10 +589,36 @@ impl IntervalPatternMonitor {
     ///
     /// Returns [`MonitorError::ExternalSource`] if the store fails.
     pub fn commit_source(&self) -> Result<(), MonitorError> {
-        match &self.store {
-            IntervalStore::External(handle) => handle.commit(),
-            _ => Ok(()),
-        }
+        self.store.commit()
+    }
+
+    /// Full verdict for an already-extracted feature vector, abstracting
+    /// into the caller's scratch: warns when the symbol word is not in the
+    /// recorded set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the monitor dimension.
+    pub fn verdict_features_scratch(
+        &self,
+        features: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Verdict {
+        words::verdict_features(self, features, scratch)
+    }
+}
+
+impl PatternFamily for IntervalPatternMonitor {
+    fn word_set(&self) -> &WordSet {
+        &self.store
+    }
+
+    fn word_set_mut(&mut self) -> &mut WordSet {
+        &mut self.store
+    }
+
+    fn abstract_into(&self, features: &[f64], word: &mut BitWord) {
+        self.abstract_into(features, word);
     }
 }
 
@@ -663,32 +627,19 @@ impl Monitor for IntervalPatternMonitor {
         &self.extractor
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        let word = self.abstract_bitword(features);
-        if self.contains_packed(&word) {
-            Verdict::ok()
-        } else {
-            Verdict::warn(vec![Violation::UnknownPattern {
-                word: word.to_bools(),
-            }])
-        }
+    fn verdict_scratch(
+        &self,
+        net: &Network,
+        input: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Result<Verdict, MonitorError> {
+        words::verdict_scratch(self, net, input, scratch)
     }
 
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        self.abstract_into(features, &mut scratch.word);
-        if self.contains_packed(&scratch.word) {
-            Verdict::ok()
-        } else {
-            Verdict::warn(vec![Violation::UnknownPattern {
-                word: scratch.word.to_bools(),
-            }])
-        }
-    }
-
-    /// The batched query path: abstract the whole batch, then answer the
-    /// exact memberships together — store-backed monitors take one read
-    /// lock (and one store kernel pass) for the batch instead of one per
-    /// input. Verdicts are bit-identical to the per-input loop.
+    /// The batched query path shared with the on-off family: store-backed
+    /// monitors take one read lock (and one store kernel pass) for the
+    /// batch instead of one per input. Verdicts are bit-identical to the
+    /// per-input loop.
     fn verdict_batch_scratch(
         &self,
         net: &Network,
@@ -696,49 +647,7 @@ impl Monitor for IntervalPatternMonitor {
         scratch: &mut QueryScratch,
         out: &mut Vec<Verdict>,
     ) -> Result<(), MonitorError> {
-        out.clear();
-        if scratch.batch_words.len() < inputs.len() {
-            scratch.batch_words.resize(inputs.len(), BitWord::default());
-        }
-        let mut features = std::mem::take(&mut scratch.features);
-        for (input, word) in inputs.iter().zip(scratch.batch_words.iter_mut()) {
-            let extracted =
-                self.extractor
-                    .features_into(net, input, &mut scratch.forward, &mut features);
-            if let Err(e) = extracted {
-                scratch.features = features;
-                return Err(e);
-            }
-            self.abstract_into(&features, word);
-        }
-        scratch.features = features;
-
-        let words = &scratch.batch_words[..inputs.len()];
-        scratch.batch_hits.clear();
-        scratch.batch_hits.resize(inputs.len(), false);
-        match &self.store {
-            IntervalStore::Bdd { bdd, root } => {
-                for (word, hit) in words.iter().zip(scratch.batch_hits.iter_mut()) {
-                    *hit = bdd.eval(*root, word);
-                }
-            }
-            // Interval monitors are exact-membership only (tau = 0).
-            IntervalStore::External(handle) => {
-                handle.contains_within_batch(words, 0, &mut scratch.batch_hits)
-            }
-        }
-
-        out.reserve(inputs.len());
-        for (word, &hit) in words.iter().zip(&scratch.batch_hits) {
-            out.push(if hit {
-                Verdict::ok()
-            } else {
-                Verdict::warn(vec![Violation::UnknownPattern {
-                    word: word.to_bools(),
-                }])
-            });
-        }
-        Ok(())
+        words::verdict_batch(self, net, inputs, scratch, out)
     }
 }
 

@@ -85,6 +85,7 @@ mod sliced;
 pub mod source;
 pub mod spec;
 pub mod wirefmt;
+mod words;
 
 pub use builder::{AnyMonitor, MonitorKind, RobustConfig};
 pub use error::MonitorError;

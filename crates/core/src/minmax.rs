@@ -2,8 +2,9 @@
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::monitor::{Monitor, Verdict, Violation};
+use crate::monitor::{Monitor, QueryScratch, Verdict, Violation};
 use napmon_absint::BoxBounds;
+use napmon_nn::Network;
 use serde::{Deserialize, Serialize};
 
 /// A per-neuron `[L_j, U_j]` monitor (Henzinger et al., ECAI 2020; also
@@ -118,14 +119,14 @@ impl MinMaxMonitor {
             .sum::<f64>()
             / self.lo.len() as f64
     }
-}
 
-impl Monitor for MinMaxMonitor {
-    fn extractor(&self) -> &FeatureExtractor {
-        &self.extractor
-    }
-
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
+    /// Full verdict for an already-extracted feature vector: one violation
+    /// per neuron outside its recorded range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the monitor dimension.
+    pub fn verdict_features(&self, features: &[f64]) -> Verdict {
         assert_eq!(features.len(), self.lo.len(), "verdict: dimension mismatch");
         let mut violations = Vec::new();
         for (j, &v) in features.iter().enumerate() {
@@ -148,6 +149,23 @@ impl Monitor for MinMaxMonitor {
         } else {
             Verdict::warn(violations)
         }
+    }
+}
+
+impl Monitor for MinMaxMonitor {
+    fn extractor(&self) -> &FeatureExtractor {
+        &self.extractor
+    }
+
+    fn verdict_scratch(
+        &self,
+        net: &Network,
+        input: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Result<Verdict, MonitorError> {
+        scratch.with_features(&self.extractor, net, input, |features, _| {
+            self.verdict_features(features)
+        })
     }
 }
 

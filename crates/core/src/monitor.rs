@@ -65,11 +65,12 @@ impl Verdict {
 ///
 /// One scratch holds everything a query needs to touch the heap for:
 /// the network's ping-pong forward buffers, the projected feature vector,
-/// and the packed abstraction word. [`Monitor::query_batch`] (and
-/// [`Monitor::query_batch_parallel_with`]) allocate one scratch per worker
-/// and reuse it across the whole batch, so per-query heap allocation
-/// drops to zero once the buffers have grown — the operational regime the paper's "operation
-/// time" monitors run in.
+/// and the packed abstraction words. Pass one scratch per worker to
+/// [`Monitor::verdict_scratch`] or [`Monitor::verdict_batch_scratch`] and
+/// reuse it across queries: per-query heap allocation drops to zero once
+/// the buffers have grown — the operational regime the paper's "operation
+/// time" monitors run in. [`Monitor::query_batch`] (and
+/// [`Monitor::query_batch_parallel_with`]) allocate one per worker.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     pub(crate) forward: ForwardScratch,
@@ -77,7 +78,7 @@ pub struct QueryScratch {
     pub(crate) word: BitWord,
     /// Per-input abstraction words for [`Monitor::verdict_batch_scratch`]:
     /// pattern monitors abstract the whole batch first, then answer all
-    /// memberships against each pattern block while it is cache-hot.
+    /// memberships together.
     pub(crate) batch_words: Vec<BitWord>,
     /// Membership answers of the batched kernel, one per input.
     pub(crate) batch_hits: Vec<bool>,
@@ -88,82 +89,79 @@ impl QueryScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Extracts `extractor`'s features of `input` into the scratch's
+    /// feature buffer and hands them, with the rest of the scratch, to
+    /// `query`. The buffer is taken out for the duration of the call so
+    /// `query` can borrow the scratch mutably alongside it.
+    pub(crate) fn with_features<R>(
+        &mut self,
+        extractor: &FeatureExtractor,
+        net: &Network,
+        input: &[f64],
+        query: impl FnOnce(&[f64], &mut QueryScratch) -> R,
+    ) -> Result<R, MonitorError> {
+        let mut features = std::mem::take(&mut self.features);
+        let result = extractor
+            .features_into(net, input, &mut self.forward, &mut features)
+            .map(|()| query(&features, self));
+        self.features = features;
+        result
+    }
 }
 
-/// A runtime monitor over one network boundary.
+/// A runtime monitor over one network (one boundary, or a composition of
+/// several).
 ///
-/// Implementations are queried with the *feature vector* (the projected
-/// neuron values of the monitored boundary); the provided methods run the
-/// network first. Queries never mutate the monitor — in operation the
-/// abstraction is frozen, exactly as in the paper.
+/// Every query takes the *network input*: the monitor runs the network up
+/// to the boundaries it watches itself. Queries never mutate the monitor —
+/// in operation the abstraction is frozen, exactly as in the paper.
+///
+/// An implementation supplies [`Monitor::extractor`] and the per-input
+/// path [`Monitor::verdict_scratch`]; the batch methods default to looping
+/// it. Pattern monitors override [`Monitor::verdict_batch_scratch`] with a
+/// batch kernel, and the differential suites pin that kernel to the
+/// per-input path.
+///
+/// Every query refuses an input of the wrong width
+/// ([`MonitorError::DimensionMismatch`]) or holding a NaN or infinite value
+/// ([`MonitorError::NonFinite`]) instead of answering it.
 pub trait Monitor {
-    /// The feature extractor describing what this monitor watches.
+    /// The feature extractor describing what this monitor watches (for a
+    /// composition, its primary member's).
     fn extractor(&self) -> &FeatureExtractor;
-
-    /// Full verdict for an already-extracted feature vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor's feature
-    /// dimension.
-    fn verdict_features(&self, features: &[f64]) -> Verdict;
-
-    /// Like [`Monitor::verdict_features`] but reusing the caller's scratch
-    /// buffers, so repeated queries stay allocation-free on the membership
-    /// path. The default ignores the scratch; pattern monitors override it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor's feature
-    /// dimension.
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        let _ = scratch;
-        self.verdict_features(features)
-    }
-
-    /// Runs `net` on `input` and returns the full verdict.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
-    /// match the network.
-    fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        let features = self.extractor().features(net, input)?;
-        Ok(self.verdict_features(&features))
-    }
 
     /// Runs `net` on `input` through the caller's scratch buffers and
     /// returns the full verdict. Steady state (buffers grown, verdict OK)
-    /// performs no heap allocation for dense networks.
+    /// performs no heap allocation for dense single-boundary monitors.
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
-    /// match the network.
+    /// Returns [`MonitorError::DimensionMismatch`] or
+    /// [`MonitorError::NonFinite`] for an input outside the network's
+    /// domain.
     fn verdict_scratch(
         &self,
         net: &Network,
         input: &[f64],
         scratch: &mut QueryScratch,
-    ) -> Result<Verdict, MonitorError> {
-        // The feature buffer is taken out of the scratch for the duration
-        // of the call so the monitor can borrow the rest of the scratch
-        // mutably alongside it.
-        let mut features = std::mem::take(&mut scratch.features);
-        let result = self
-            .extractor()
-            .features_into(net, input, &mut scratch.forward, &mut features)
-            .map(|()| self.verdict_features_scratch(&features, scratch));
-        scratch.features = features;
-        result
+    ) -> Result<Verdict, MonitorError>;
+
+    /// Runs `net` on `input` and returns the full verdict: the convenience
+    /// form of [`Monitor::verdict_scratch`] with a fresh scratch.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Monitor::verdict_scratch`].
+    fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
+        self.verdict_scratch(net, input, &mut QueryScratch::new())
     }
 
     /// Verdicts for a whole batch of inputs through one scratch, appended
     /// to `out` (cleared first). This is the entry point that lets a
     /// backend answer the batch's membership queries *together*: pattern
-    /// monitors override it to abstract every input first and then run
-    /// the bit-sliced batch kernel, which walks each pattern block once
-    /// per batch instead of once per query. The default simply loops
+    /// monitors override it to abstract every input first and then answer
+    /// every membership in one pass. The default simply loops
     /// [`Monitor::verdict_scratch`].
     ///
     /// Verdicts are bit-identical to the sequential loop for every
@@ -172,8 +170,8 @@ pub trait Monitor {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed; `out` is left empty or partially filled and must not be
+    /// Same conditions as [`Monitor::verdict_scratch`], for any input;
+    /// `out` is left empty or partially filled and must not be
     /// interpreted.
     fn verdict_batch_scratch(
         &self,
@@ -195,8 +193,7 @@ pub trait Monitor {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] on the first malformed
-    /// input.
+    /// Same conditions as [`Monitor::verdict_scratch`], for any input.
     fn query_batch(
         &self,
         net: &Network,
@@ -223,8 +220,7 @@ pub trait Monitor {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
+    /// Same conditions as [`Monitor::verdict_scratch`], for any input.
     fn query_batch_parallel_with(
         &self,
         net: &Network,
@@ -234,44 +230,36 @@ pub trait Monitor {
     where
         Self: Sync,
     {
-        fan_out_batch(inputs, threads, |chunk| self.query_batch(net, chunk))
+        if threads <= 1 || inputs.len() < 2 * threads {
+            return self.query_batch(net, inputs);
+        }
+        let mut out = Vec::with_capacity(inputs.len());
+        for chunk in map_chunks(inputs, threads, |chunk| self.query_batch(net, chunk)) {
+            out.extend(chunk?);
+        }
+        Ok(out)
     }
 }
 
-/// The fan-out behind [`Monitor::query_batch_parallel_with`]: chunks
-/// `inputs` across `threads` workers via `std::thread::scope`, runs
-/// `query_chunk` per worker (each call gets a contiguous sub-slice and
-/// allocates its own scratch inside), and restitches results in input
-/// order. Falls back to one direct call when parallelism cannot pay for
-/// the thread spawns.
-fn fan_out_batch<F>(
-    inputs: &[Vec<f64>],
+/// Splits `items` into at most `threads` contiguous chunks, runs `f` on
+/// each in its own scoped thread, and returns the results in chunk order.
+pub(crate) fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
     threads: usize,
-    query_chunk: F,
-) -> Result<Vec<Verdict>, MonitorError>
-where
-    F: Fn(&[Vec<f64>]) -> Result<Vec<Verdict>, MonitorError> + Sync,
-{
-    if threads <= 1 || inputs.len() < 2 * threads {
-        return query_chunk(inputs);
-    }
-    let chunk_size = inputs.len().div_ceil(threads);
-    let chunk_results: Vec<Result<Vec<Verdict>, MonitorError>> = std::thread::scope(|scope| {
-        let query_chunk = &query_chunk;
-        let handles: Vec<_> = inputs
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let chunk_size = items.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
             .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || query_chunk(chunk)))
+            .map(|chunk| scope.spawn(move || f(chunk)))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("query worker panicked"))
+            .map(|h| h.join().expect("worker thread panicked"))
             .collect()
-    });
-    let mut out = Vec::with_capacity(inputs.len());
-    for chunk in chunk_results {
-        out.extend(chunk?);
-    }
-    Ok(out)
+    })
 }
 
 /// Compile-time proof that every monitor (and the verdict machinery) can

@@ -2,11 +2,12 @@
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::monitor::{Monitor, QueryScratch, Verdict, Violation};
+use crate::monitor::{Monitor, QueryScratch, Verdict};
 use crate::sliced::SlicedPatternSet;
-use crate::source::{ExternalHandle, SharedPatternSource, SourceDescriptor};
+use crate::source::{SharedPatternSource, SourceDescriptor};
+use crate::words::{self, PatternFamily, WordSet};
 use napmon_absint::BoxBounds;
-use napmon_bdd::{Bdd, BitCube, BitWord, NodeId};
+use napmon_bdd::{BitCube, BitWord};
 use napmon_nn::Network;
 use serde::{Deserialize, Serialize};
 
@@ -31,26 +32,6 @@ pub enum PatternBackend {
     Store,
 }
 
-/// Words are stored packed ([`BitWord`]) and hashed with the same FxHash
-/// scheme as the BDD tables: membership hashes one `u64` limb per 64
-/// monitored neurons instead of SipHashing one byte per neuron, and the
-/// query side never materializes a `Vec<bool>`. The hash backend also
-/// keeps a bit-sliced mirror of the set ([`SlicedPatternSet`]) so
-/// Hamming-tolerant queries run the block-transposed kernel instead of a
-/// per-word scan; the serialized shape is unchanged (a seq of words).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Store {
-    Bdd {
-        bdd: Bdd,
-        root: NodeId,
-    },
-    Hash(SlicedPatternSet),
-    /// Externally-held word set; serializes as a [`SourceDescriptor`]
-    /// (the words stay in the store), so this variant is what makes
-    /// store-backed artifacts small and warm-startable.
-    External(ExternalHandle),
-}
-
 /// A Boolean on-off pattern monitor (Cheng et al., DATE 2019; §III-A/B of
 /// the paper).
 ///
@@ -68,7 +49,8 @@ enum Store {
 pub struct PatternMonitor {
     extractor: FeatureExtractor,
     thresholds: Vec<f64>,
-    store: Store,
+    /// Named `store` in the serialized artifact.
+    store: WordSet,
     hamming_tolerance: usize,
     samples: usize,
 }
@@ -93,11 +75,8 @@ impl PatternMonitor {
             });
         }
         let store = match backend {
-            PatternBackend::Bdd => Store::Bdd {
-                bdd: Bdd::new(extractor.dim()),
-                root: Bdd::FALSE,
-            },
-            PatternBackend::HashSet => Store::Hash(SlicedPatternSet::default()),
+            PatternBackend::Bdd => WordSet::bdd(extractor.dim()),
+            PatternBackend::HashSet => WordSet::Hash(SlicedPatternSet::default()),
             PatternBackend::Store => {
                 return Err(MonitorError::InvalidConfig(
                     "the Store backend needs an attached source; build with \
@@ -131,28 +110,10 @@ impl PatternMonitor {
         thresholds: Vec<f64>,
         source: SharedPatternSource,
     ) -> Result<Self, MonitorError> {
-        if thresholds.len() != extractor.dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "pattern thresholds".into(),
-                expected: extractor.dim(),
-                actual: thresholds.len(),
-            });
-        }
-        let handle = ExternalHandle::attached(source);
-        if handle.descriptor().word_bits != extractor.dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "pattern source word width".into(),
-                expected: extractor.dim(),
-                actual: handle.descriptor().word_bits,
-            });
-        }
-        Ok(Self {
-            extractor,
-            thresholds,
-            store: Store::External(handle),
-            hamming_tolerance: 0,
-            samples: 0,
-        })
+        let mut monitor = Self::empty(extractor, thresholds, PatternBackend::HashSet)?;
+        let word_bits = monitor.thresholds.len();
+        monitor.store = WordSet::attached(source, word_bits, "pattern source word width")?;
+        Ok(monitor)
     }
 
     /// The Boolean abstraction `ab`: `b_j = 1` iff `v_j > c_j`, unpacked.
@@ -164,16 +125,7 @@ impl PatternMonitor {
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn abstract_word(&self, features: &[f64]) -> Vec<bool> {
-        assert_eq!(
-            features.len(),
-            self.thresholds.len(),
-            "abstract_word: dimension mismatch"
-        );
-        features
-            .iter()
-            .zip(&self.thresholds)
-            .map(|(v, c)| v > c)
-            .collect()
+        self.abstract_bitword(features).to_bools()
     }
 
     /// The Boolean abstraction packed into a [`BitWord`]. Stack-only for
@@ -256,16 +208,7 @@ impl PatternMonitor {
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn absorb_point_checked(&mut self, features: &[f64]) -> Result<(), MonitorError> {
-        let word = self.abstract_bitword(features);
-        match &mut self.store {
-            Store::Bdd { bdd, root } => *root = bdd.insert_word(*root, &word),
-            Store::Hash(set) => {
-                set.insert(word);
-            }
-            Store::External(handle) => {
-                handle.insert(&word)?;
-            }
-        }
+        self.store.insert(self.abstract_bitword(features))?;
         self.samples += 1;
         Ok(())
     }
@@ -291,14 +234,7 @@ impl PatternMonitor {
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn absorb_features_shared(&self, features: &[f64]) -> Result<bool, MonitorError> {
-        let Store::External(handle) = &self.store else {
-            return Err(MonitorError::ExternalSource(
-                "operation-time absorption needs a store-backed monitor \
-                 (backend PatternBackend::Store)"
-                    .into(),
-            ));
-        };
-        handle.insert(&self.abstract_bitword(features))
+        self.store.insert_shared(&self.abstract_bitword(features))
     }
 
     /// Folds one perturbation estimate (robust construction, `⊎_R` with
@@ -334,16 +270,8 @@ impl PatternMonitor {
     pub fn absorb_bounds_checked(&mut self, bounds: &BoxBounds) -> Result<(), MonitorError> {
         let cube = self.abstract_cube(bounds);
         match &mut self.store {
-            Store::Bdd { bdd, root } => *root = bdd.insert_cube_packed(*root, &cube),
-            Store::Hash(set) => {
-                expand_cube(&cube, |w| {
-                    set.insert(w);
-                    Ok(())
-                })?;
-            }
-            Store::External(handle) => {
-                expand_cube(&cube, |w| handle.insert(&w).map(drop))?;
-            }
+            WordSet::Bdd { bdd, root } => *root = bdd.insert_cube_packed(*root, &cube),
+            words => expand_cube(&cube, |w| words.insert(w))?,
         }
         self.samples += 1;
         Ok(())
@@ -363,11 +291,7 @@ impl PatternMonitor {
     /// Packed membership: the allocation-free hot path.
     #[inline]
     pub fn contains_packed(&self, word: &BitWord) -> bool {
-        match &self.store {
-            Store::Bdd { bdd, root } => bdd.eval(*root, word),
-            Store::Hash(set) => set.contains(word),
-            Store::External(handle) => handle.contains(word),
-        }
+        self.store.contains(word)
     }
 
     /// Whether some stored word is within Hamming distance `tau` of `word`.
@@ -379,11 +303,7 @@ impl PatternMonitor {
     /// bit-sliced kernel (a batch of one); the BDD walk explores
     /// `O(nodes · tau)` states.
     pub fn contains_within_packed(&self, word: &BitWord, tau: usize) -> bool {
-        match &self.store {
-            Store::Bdd { bdd, root } => bdd.contains_within_hamming(*root, word, tau),
-            Store::Hash(set) => set.contains_within(word, tau),
-            Store::External(handle) => handle.contains_within(word, tau),
-        }
+        self.store.contains_within(word, tau)
     }
 
     /// Number of absorbed samples.
@@ -395,11 +315,7 @@ impl PatternMonitor {
     /// monitors this is a *live* figure: operation-time absorptions move
     /// it.
     pub fn pattern_count(&self) -> f64 {
-        match &self.store {
-            Store::Bdd { bdd, root } => bdd.satcount(*root),
-            Store::Hash(set) => set.len() as f64,
-            Store::External(handle) => handle.word_count() as f64,
-        }
+        self.store.pattern_count()
     }
 
     /// Fraction of the `2^d` pattern space the monitor admits — the
@@ -412,11 +328,7 @@ impl PatternMonitor {
     /// Memory proxy: BDD nodes, hash-set words, or external-store words
     /// currently stored.
     pub fn store_size(&self) -> usize {
-        match &self.store {
-            Store::Bdd { bdd, root } => bdd.reachable_nodes(*root),
-            Store::Hash(set) => set.len(),
-            Store::External(handle) => handle.store_size(),
-        }
+        self.store.store_size()
     }
 
     /// Per-neuron thresholds `c_j`.
@@ -427,9 +339,9 @@ impl PatternMonitor {
     /// The storage backend the pattern set lives in.
     pub fn backend(&self) -> PatternBackend {
         match &self.store {
-            Store::Bdd { .. } => PatternBackend::Bdd,
-            Store::Hash(_) => PatternBackend::HashSet,
-            Store::External(_) => PatternBackend::Store,
+            WordSet::Bdd { .. } => PatternBackend::Bdd,
+            WordSet::Hash(_) => PatternBackend::HashSet,
+            WordSet::External(_) => PatternBackend::Store,
         }
     }
 
@@ -441,17 +353,14 @@ impl PatternMonitor {
     /// The descriptor of the external source, if the monitor is
     /// store-backed.
     pub fn external_descriptor(&self) -> Option<&SourceDescriptor> {
-        match &self.store {
-            Store::External(handle) => Some(handle.descriptor()),
-            _ => None,
-        }
+        self.store.descriptor()
     }
 
     /// Whether the monitor is store-backed but its handle is detached
     /// (fresh from deserialization, awaiting
     /// [`PatternMonitor::attach_source`]).
     pub fn needs_source(&self) -> bool {
-        matches!(&self.store, Store::External(h) if !h.is_attached())
+        self.store.needs_source()
     }
 
     /// Reattaches (or replaces) the external source behind a store-backed
@@ -464,12 +373,7 @@ impl PatternMonitor {
     /// store-backed, or [`MonitorError::DimensionMismatch`] if the
     /// source's word width disagrees with the recorded descriptor.
     pub fn attach_source(&mut self, source: SharedPatternSource) -> Result<(), MonitorError> {
-        match &mut self.store {
-            Store::External(handle) => handle.attach(source),
-            _ => Err(MonitorError::ExternalSource(
-                "monitor is not store-backed; nothing to attach".into(),
-            )),
-        }
+        self.store.attach(source)
     }
 
     /// Flushes the external source's buffered writes, if any (no-op for
@@ -479,10 +383,22 @@ impl PatternMonitor {
     ///
     /// Returns [`MonitorError::ExternalSource`] if the store fails.
     pub fn commit_source(&self) -> Result<(), MonitorError> {
-        match &self.store {
-            Store::External(handle) => handle.commit(),
-            _ => Ok(()),
-        }
+        self.store.commit()
+    }
+
+    /// Full verdict for an already-extracted feature vector, abstracting
+    /// into the caller's scratch: warns when the word is not in the set
+    /// (or, with a Hamming tolerance `τ`, not within `τ` of it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the monitor dimension.
+    pub fn verdict_features_scratch(
+        &self,
+        features: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Verdict {
+        words::verdict_features(self, features, scratch)
     }
 }
 
@@ -510,21 +426,21 @@ fn expand_cube(
     Ok(())
 }
 
-impl PatternMonitor {
-    fn verdict_packed(&self, word: &BitWord) -> Verdict {
-        let ok = if self.hamming_tolerance == 0 {
-            self.contains_packed(word)
-        } else {
-            self.contains_within_packed(word, self.hamming_tolerance)
-        };
-        if ok {
-            Verdict::ok()
-        } else {
-            // Warnings are the cold path; unpacking for the evidence is fine.
-            Verdict::warn(vec![Violation::UnknownPattern {
-                word: word.to_bools(),
-            }])
-        }
+impl PatternFamily for PatternMonitor {
+    fn word_set(&self) -> &WordSet {
+        &self.store
+    }
+
+    fn word_set_mut(&mut self) -> &mut WordSet {
+        &mut self.store
+    }
+
+    fn abstract_into(&self, features: &[f64], word: &mut BitWord) {
+        self.abstract_into(features, word);
+    }
+
+    fn hamming_tolerance(&self) -> usize {
+        self.hamming_tolerance
     }
 }
 
@@ -533,19 +449,19 @@ impl Monitor for PatternMonitor {
         &self.extractor
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        self.verdict_packed(&self.abstract_bitword(features))
+    fn verdict_scratch(
+        &self,
+        net: &Network,
+        input: &[f64],
+        scratch: &mut QueryScratch,
+    ) -> Result<Verdict, MonitorError> {
+        words::verdict_scratch(self, net, input, scratch)
     }
 
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        self.abstract_into(features, &mut scratch.word);
-        self.verdict_packed(&scratch.word)
-    }
-
-    /// The batched query path: abstract every input first, then answer all
-    /// memberships together — the hash backend runs the bit-sliced batch
-    /// kernel and store-backed monitors take one read lock for the whole
-    /// batch. Verdicts are bit-identical to the per-input loop.
+    /// The batched query path shared with the interval family: the hash
+    /// backend runs the bit-sliced batch kernel and store-backed monitors
+    /// take one read lock for the whole batch. Verdicts are bit-identical
+    /// to the per-input loop.
     fn verdict_batch_scratch(
         &self,
         net: &Network,
@@ -553,62 +469,14 @@ impl Monitor for PatternMonitor {
         scratch: &mut QueryScratch,
         out: &mut Vec<Verdict>,
     ) -> Result<(), MonitorError> {
-        out.clear();
-        if scratch.batch_words.len() < inputs.len() {
-            scratch.batch_words.resize(inputs.len(), BitWord::default());
-        }
-        let mut features = std::mem::take(&mut scratch.features);
-        for (input, word) in inputs.iter().zip(scratch.batch_words.iter_mut()) {
-            let extracted =
-                self.extractor
-                    .features_into(net, input, &mut scratch.forward, &mut features);
-            if let Err(e) = extracted {
-                scratch.features = features;
-                return Err(e);
-            }
-            self.abstract_into(&features, word);
-        }
-        scratch.features = features;
-
-        let words = &scratch.batch_words[..inputs.len()];
-        scratch.batch_hits.clear();
-        scratch.batch_hits.resize(inputs.len(), false);
-        let tau = self.hamming_tolerance;
-        match &self.store {
-            // The BDD holds no sliced layout; its walk is already
-            // sublinear in the set, so the batch is a plain loop.
-            Store::Bdd { bdd, root } => {
-                for (word, hit) in words.iter().zip(scratch.batch_hits.iter_mut()) {
-                    *hit = if tau == 0 {
-                        bdd.eval(*root, word)
-                    } else {
-                        bdd.contains_within_hamming(*root, word, tau)
-                    };
-                }
-            }
-            Store::Hash(set) => set.contains_within_batch(words, tau, &mut scratch.batch_hits),
-            Store::External(handle) => {
-                handle.contains_within_batch(words, tau, &mut scratch.batch_hits)
-            }
-        }
-
-        out.reserve(inputs.len());
-        for (word, &hit) in words.iter().zip(&scratch.batch_hits) {
-            out.push(if hit {
-                Verdict::ok()
-            } else {
-                Verdict::warn(vec![Violation::UnknownPattern {
-                    word: word.to_bools(),
-                }])
-            });
-        }
-        Ok(())
+        words::verdict_batch(self, net, inputs, scratch, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::Violation;
     use napmon_nn::{Activation, LayerSpec, Network};
 
     fn setup(backend: PatternBackend) -> (Network, PatternMonitor) {
@@ -698,7 +566,10 @@ mod tests {
             assert!(m.contains_within(&near, 1));
             assert!(!m.contains_within(&far, 2));
             m.set_hamming_tolerance(1);
-            assert!(!m.verdict_features(&[0.5, 0.5, 0.5, -0.5]).warning);
+            assert!(
+                !m.verdict_features_scratch(&[0.5, 0.5, 0.5, -0.5], &mut QueryScratch::new())
+                    .warning
+            );
         }
     }
 
@@ -706,7 +577,7 @@ mod tests {
     fn verdict_carries_the_unknown_word() {
         let (_, mut m) = setup(PatternBackend::Bdd);
         m.absorb_point(&[1.0, 1.0, 1.0, 1.0]);
-        let v = m.verdict_features(&[-1.0, 1.0, 1.0, 1.0]);
+        let v = m.verdict_features_scratch(&[-1.0, 1.0, 1.0, 1.0], &mut QueryScratch::new());
         assert!(v.warning);
         assert!(matches!(&v.violations[0], Violation::UnknownPattern { word } if !word[0]));
     }

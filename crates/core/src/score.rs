@@ -18,6 +18,7 @@ use crate::interval_pattern::IntervalPatternMonitor;
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::Monitor;
 use crate::pattern::PatternMonitor;
+use crate::words::PatternFamily;
 
 /// A monitor that can quantify *how far* outside the abstraction an
 /// observation lies (0.0 = inside; larger = farther out).
@@ -47,36 +48,22 @@ impl ScoredMonitor for PatternMonitor {
     /// Minimum Hamming distance from the observed word to the pattern set
     /// (in bits).
     fn score_features(&self, features: &[f64]) -> f64 {
-        let word = self.abstract_bitword(features);
-        for tau in 0..=word.len() {
-            if self.contains_within_packed(&word, tau) {
-                return tau as f64;
-            }
-        }
-        word.len() as f64
+        self.word_set()
+            .min_distance(&self.abstract_bitword(features))
     }
 }
 
 impl ScoredMonitor for IntervalPatternMonitor {
     /// Minimum Hamming distance in the bit encoding of the symbol word.
     fn score_features(&self, features: &[f64]) -> f64 {
-        let word = self.abstract_bitword(features);
-        for tau in 0..=word.len() {
-            if self.contains_word_within(&word, tau) {
-                return tau as f64;
-            }
-        }
-        word.len() as f64
+        self.word_set()
+            .min_distance(&self.abstract_bitword(features))
     }
 }
 
 impl ScoredMonitor for AnyMonitor {
     fn score_features(&self, features: &[f64]) -> f64 {
-        match self {
-            AnyMonitor::MinMax(m) => m.score_features(features),
-            AnyMonitor::Pattern(m) => m.score_features(features),
-            AnyMonitor::Interval(m) => m.score_features(features),
-        }
+        self.family().score_features(features)
     }
 }
 
@@ -145,10 +132,11 @@ mod tests {
         ] {
             let built = MonitorSpec::new(2, kind).build(&n, &data).unwrap();
             let m = built.as_single().unwrap();
+            let mut scratch = crate::monitor::QueryScratch::new();
             for _ in 0..100 {
                 let probe = rng.uniform_vec(2, -2.0, 2.0);
                 let features = m.extractor().features(&n, &probe).unwrap();
-                let warns = m.verdict_features(&features).warning;
+                let warns = m.verdict_features_scratch(&features, &mut scratch).warning;
                 let score = m.score_features(&features);
                 assert_eq!(warns, score > 0.0, "score/warning disagree");
             }

@@ -48,10 +48,10 @@
 
 use crate::builder::{AnyMonitor, MonitorKind, RobustConfig};
 use crate::error::MonitorError;
-use crate::feature::FeatureExtractor;
-use crate::interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};
+use crate::feature::{check_input, FeatureExtractor};
+use crate::interval_pattern::{check_thresholds, IntervalPatternMonitor, ThresholdPolicy};
 use crate::minmax::MinMaxMonitor;
-use crate::monitor::{Monitor, QueryScratch, Verdict};
+use crate::monitor::{map_chunks, Monitor, QueryScratch, Verdict};
 use crate::multi::{MultiLayerMonitor, Vote};
 use crate::pattern::{PatternBackend, PatternMonitor};
 use crate::per_class::PerClassMonitor;
@@ -452,28 +452,25 @@ impl MonitorSpec {
         provider: &mut dyn SourceProvider,
     ) -> Result<ComposedMonitor, MonitorError> {
         self.validate_for(net)?;
-        let mounts: Vec<(usize, &WatchedLayer)> = match &self.composition {
-            Composition::Single => vec![(0, &self.layers[0])],
-            Composition::MultiLayer { .. } => self.layers.iter().enumerate().collect(),
-            Composition::PerClass { num_classes } => {
-                (0..*num_classes).map(|c| (c, &self.layers[0])).collect()
+        if let MonitorKind::Pattern { policy, .. } | MonitorKind::IntervalPattern { policy, .. } =
+            &self.kind
+        {
+            if matches!(policy, ThresholdPolicy::Mean | ThresholdPolicy::Quantiles) {
+                return Err(MonitorError::InvalidConfig(format!(
+                    "{policy:?} thresholds need training data; warm starts require a \
+                     data-free policy (Sign or Explicit)"
+                )));
             }
-        };
-        let mut members = Vec::with_capacity(mounts.len());
-        for (member, watched) in mounts {
-            members.push(mount_member(net, watched, &self.kind, member, provider)?);
         }
-        Ok(match &self.composition {
-            Composition::Single => {
-                ComposedMonitor::Single(members.pop().expect("one member mounted"))
-            }
-            Composition::MultiLayer { vote } => {
-                ComposedMonitor::MultiLayer(MultiLayerMonitor::new(members, *vote))
-            }
-            Composition::PerClass { .. } => {
-                ComposedMonitor::PerClass(PerClassMonitor::new(members))
-            }
-        })
+        let members = self
+            .member_layers()
+            .into_iter()
+            .map(|(member, watched)| {
+                let (fx, source) = self.member_parts(net, watched, member, Some(&mut *provider))?;
+                self.empty_member(fx, &[], source)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(self.compose(members))
     }
 
     /// The shared construction path behind `build*`: optional explicit
@@ -487,333 +484,232 @@ impl MonitorSpec {
     ) -> Result<ComposedMonitor, MonitorError> {
         self.validate_for(net)?;
         check_training_data(net, data)?;
-        match &self.composition {
-            Composition::Single => Ok(ComposedMonitor::Single(build_member(
-                net,
-                &self.layers[0],
-                &self.kind,
-                self.robust,
-                self.parallel,
-                data,
-                0,
-                provider.as_deref_mut(),
-            )?)),
-            Composition::MultiLayer { vote } => {
-                let mut members = Vec::with_capacity(self.layers.len());
-                for (i, watched) in self.layers.iter().enumerate() {
-                    members.push(build_member(
-                        net,
-                        watched,
-                        &self.kind,
-                        self.robust,
-                        self.parallel,
-                        data,
-                        i,
-                        provider.as_deref_mut(),
-                    )?);
-                }
-                Ok(ComposedMonitor::MultiLayer(MultiLayerMonitor::new(
-                    members, *vote,
-                )))
-            }
+        let partitions;
+        let member_data: Vec<&[Vec<f64>]> = match self.composition {
             Composition::PerClass { num_classes } => {
-                // Validation above ran before predicting labels:
-                // predict_class panics on wrong-dimension samples, and
-                // malformed input must surface as the typed error the
-                // build methods document.
-                let predicted: Vec<usize>;
-                let labels = match labels {
-                    Some(labels) => labels,
-                    None => {
-                        predicted = data.iter().map(|x| net.predict_class(x)).collect();
-                        &predicted
-                    }
-                };
-                if labels.len() != data.len() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "per-class labels".into(),
-                        expected: data.len(),
-                        actual: labels.len(),
-                    });
-                }
-                let mut partitions: Vec<Vec<Vec<f64>>> = vec![Vec::new(); *num_classes];
-                for (v, &c) in data.iter().zip(labels) {
-                    if c >= *num_classes {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "label {c} out of range 0..{num_classes}"
-                        )));
-                    }
-                    partitions[c].push(v.clone());
-                }
-                let watched = &self.layers[0];
-                let mut monitors = Vec::with_capacity(*num_classes);
-                for (c, part) in partitions.iter().enumerate() {
-                    if part.is_empty() {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "class {c} has no training samples"
-                        )));
-                    }
-                    monitors.push(build_member(
-                        net,
-                        watched,
-                        &self.kind,
-                        self.robust,
-                        self.parallel,
-                        part,
-                        c,
-                        provider.as_deref_mut(),
-                    )?);
-                }
-                Ok(ComposedMonitor::PerClass(PerClassMonitor::new(monitors)))
+                partitions = partition(net, data, labels, num_classes)?;
+                partitions.iter().map(Vec::as_slice).collect()
+            }
+            _ => vec![data; self.layers.len()],
+        };
+        let mut members = Vec::with_capacity(member_data.len());
+        for ((member, watched), part) in self.member_layers().into_iter().zip(member_data) {
+            members.push(self.build_member(net, watched, part, member, provider.as_deref_mut())?);
+        }
+        Ok(self.compose(members))
+    }
+
+    /// Each member's index and watched boundary: the one boundary for
+    /// single composition, one member per boundary for multi-layer, one
+    /// member per class for per-class.
+    fn member_layers(&self) -> Vec<(usize, &WatchedLayer)> {
+        match self.composition {
+            Composition::PerClass { num_classes } => {
+                (0..num_classes).map(|c| (c, &self.layers[0])).collect()
+            }
+            _ => self.layers.iter().enumerate().collect(),
+        }
+    }
+
+    /// Wraps built members in the spec's composition.
+    fn compose(&self, mut members: Vec<AnyMonitor>) -> ComposedMonitor {
+        match &self.composition {
+            Composition::Single => {
+                ComposedMonitor::Single(members.pop().expect("one member built"))
+            }
+            Composition::MultiLayer { vote } => {
+                ComposedMonitor::MultiLayer(MultiLayerMonitor::new(members, *vote))
+            }
+            Composition::PerClass { .. } => {
+                ComposedMonitor::PerClass(PerClassMonitor::new(members))
             }
         }
     }
+
+    /// The extractor of one member and, when the kind/provider combination
+    /// calls for one, the external source its words live in; rejects the
+    /// combinations that cannot work.
+    fn member_parts(
+        &self,
+        net: &Network,
+        watched: &WatchedLayer,
+        member: usize,
+        provider: Option<&mut (dyn SourceProvider + '_)>,
+    ) -> Result<(FeatureExtractor, Option<SharedPatternSource>), MonitorError> {
+        let fx = FeatureExtractor::new(net, watched.layer)?;
+        let fx = match &watched.neurons {
+            None => fx,
+            Some(neurons) => fx.with_neurons(neurons.clone())?,
+        };
+        let source = match (&self.kind, provider) {
+            (MonitorKind::MinMax { .. }, Some(_)) => {
+                return Err(MonitorError::InvalidConfig(
+                    "min-max monitors keep their bounds in the artifact and have no \
+                     pattern set to externalize or mount; build them without a source \
+                     provider and load them through napmon-artifact"
+                        .into(),
+                ))
+            }
+            (MonitorKind::Pattern { backend, .. }, Some(_))
+                if *backend != PatternBackend::Store =>
+            {
+                return Err(MonitorError::InvalidConfig(format!(
+                    "sources were provided but the spec declares backend {backend:?}; \
+                     declare PatternBackend::Store"
+                )))
+            }
+            (MonitorKind::Pattern { .. }, Some(provider)) => {
+                Some(provider.open_source(member, fx.dim())?)
+            }
+            (MonitorKind::IntervalPattern { bits, .. }, Some(provider)) => {
+                Some(provider.open_source(member, fx.dim() * bits)?)
+            }
+            (
+                MonitorKind::Pattern {
+                    backend: PatternBackend::Store,
+                    ..
+                },
+                None,
+            ) => {
+                return Err(MonitorError::InvalidConfig(
+                    "PatternBackend::Store needs a source provider; build with \
+                     MonitorSpec::build_with_sources (or mount_with_sources)"
+                        .into(),
+                ))
+            }
+            _ => None,
+        };
+        Ok((fx, source))
+    }
+
+    /// An empty member of the spec's family, with thresholds resolved from
+    /// the member's training `features` (none for a mount).
+    fn empty_member(
+        &self,
+        fx: FeatureExtractor,
+        features: &[Vec<f64>],
+        source: Option<SharedPatternSource>,
+    ) -> Result<AnyMonitor, MonitorError> {
+        Ok(match &self.kind {
+            MonitorKind::MinMax { .. } => AnyMonitor::MinMax(MinMaxMonitor::empty(fx)),
+            MonitorKind::Pattern {
+                policy,
+                backend,
+                hamming,
+            } => {
+                let lists = policy.resolve(fx.dim(), 1, features)?;
+                let thresholds = lists.into_iter().map(|l| l[0]).collect();
+                let mut m = match source {
+                    Some(source) => PatternMonitor::with_source(fx, thresholds, source)?,
+                    None => PatternMonitor::empty(fx, thresholds, *backend)?,
+                };
+                m.set_hamming_tolerance(*hamming);
+                AnyMonitor::Pattern(m)
+            }
+            MonitorKind::IntervalPattern { bits, policy } => {
+                let lists = policy.resolve(fx.dim(), *bits, features)?;
+                AnyMonitor::Interval(match source {
+                    Some(source) => IntervalPatternMonitor::with_source(fx, *bits, lists, source)?,
+                    None => IntervalPatternMonitor::empty(fx, *bits, lists)?,
+                })
+            }
+        })
+    }
+
+    /// Builds one member monitor over one watched boundary: the §III-A/B
+    /// construction loop every spec build runs, once per member.
+    /// `member` indexes the member within its composition; `provider`, when
+    /// given, supplies the external source its pattern set is absorbed into.
+    fn build_member(
+        &self,
+        net: &Network,
+        watched: &WatchedLayer,
+        data: &[Vec<f64>],
+        member: usize,
+        provider: Option<&mut (dyn SourceProvider + '_)>,
+    ) -> Result<AnyMonitor, MonitorError> {
+        let (fx, source) = self.member_parts(net, watched, member, provider)?;
+        let (features, bounds) =
+            compute_samples(net, &fx, watched.layer, self.robust, self.parallel, data);
+        let mut m = self.empty_member(fx, &features, source)?;
+        match &bounds {
+            Some(bs) => bs.iter().try_for_each(|b| m.absorb_bounds(b))?,
+            None => features.iter().try_for_each(|f| m.absorb_features_mut(f))?,
+        }
+        if let (AnyMonitor::MinMax(m), MonitorKind::MinMax { gamma }) = (&mut m, &self.kind) {
+            if *gamma > 0.0 {
+                m.enlarge(*gamma);
+            }
+        }
+        m.commit_source()?;
+        Ok(m)
+    }
+}
+
+/// Splits the training data by class label (`labels`, or the network's
+/// predicted classes), one non-empty partition per class.
+fn partition(
+    net: &Network,
+    data: &[Vec<f64>],
+    labels: Option<&[usize]>,
+    num_classes: usize,
+) -> Result<Vec<Vec<Vec<f64>>>, MonitorError> {
+    // The caller checked every sample first: predict_class panics on
+    // wrong-dimension samples, and malformed input must surface as the
+    // typed error the build methods document.
+    let predicted: Vec<usize>;
+    let labels = match labels {
+        Some(labels) => labels,
+        None => {
+            predicted = data.iter().map(|x| net.predict_class(x)).collect();
+            &predicted
+        }
+    };
+    if labels.len() != data.len() {
+        return Err(MonitorError::DimensionMismatch {
+            context: "per-class labels".into(),
+            expected: data.len(),
+            actual: labels.len(),
+        });
+    }
+    let mut partitions: Vec<Vec<Vec<f64>>> = vec![Vec::new(); num_classes];
+    for (v, &c) in data.iter().zip(labels) {
+        if c >= num_classes {
+            return Err(MonitorError::InvalidConfig(format!(
+                "label {c} out of range 0..{num_classes}"
+            )));
+        }
+        partitions[c].push(v.clone());
+    }
+    if let Some(c) = partitions.iter().position(Vec::is_empty) {
+        return Err(MonitorError::InvalidConfig(format!(
+            "class {c} has no training samples"
+        )));
+    }
+    Ok(partitions)
 }
 
 /// Static validity of a threshold policy for a given bit width.
 fn validate_policy(policy: &ThresholdPolicy, bits: usize) -> Result<(), MonitorError> {
-    let per_neuron = (1usize << bits) - 1;
     match policy {
-        ThresholdPolicy::Sign | ThresholdPolicy::Mean => {
-            if bits != 1 {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "{policy:?} policy requires bits = 1, got {bits}"
-                )));
-            }
-        }
-        ThresholdPolicy::Quantiles => {}
-        ThresholdPolicy::Explicit(lists) => {
-            for (j, list) in lists.iter().enumerate() {
-                if list.len() != per_neuron {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "neuron {j}: expected {per_neuron} thresholds for {bits}-bit \
-                         patterns, got {}",
-                        list.len()
-                    )));
-                }
-                if list.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "neuron {j}: thresholds not ascending"
-                    )));
-                }
-                if list.iter().any(|c| !c.is_finite()) {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "neuron {j}: thresholds must be finite"
-                    )));
-                }
-            }
-        }
+        ThresholdPolicy::Sign | ThresholdPolicy::Mean if bits != 1 => Err(
+            MonitorError::InvalidConfig(format!("{policy:?} policy requires bits = 1, got {bits}")),
+        ),
+        ThresholdPolicy::Explicit(lists) => check_thresholds(lists, bits),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-/// Shared training-data checks: non-empty, every sample matching the
-/// network input dimension.
+/// Shared training-data checks: non-empty, every sample a valid network
+/// input.
 fn check_training_data(net: &Network, data: &[Vec<f64>]) -> Result<(), MonitorError> {
     if data.is_empty() {
         return Err(MonitorError::EmptyTrainingSet);
     }
     for (i, v) in data.iter().enumerate() {
-        if v.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: format!("training sample {i}"),
-                expected: net.input_dim(),
-                actual: v.len(),
-            });
-        }
+        check_input(net, v, &format_args!("training sample {i}"))?;
     }
     Ok(())
-}
-
-/// Resolves the external source backing one member, if the kind/provider
-/// combination calls for one; rejects the combinations that cannot work.
-fn member_source<P: SourceProvider + ?Sized>(
-    kind: &MonitorKind,
-    member: usize,
-    word_bits: usize,
-    provider: Option<&mut P>,
-) -> Result<Option<SharedPatternSource>, MonitorError> {
-    match (kind, provider) {
-        (MonitorKind::MinMax { .. }, Some(_)) => Err(MonitorError::InvalidConfig(
-            "min-max monitors have no pattern set to externalize; \
-             remove the source provider or change the kind"
-                .into(),
-        )),
-        (MonitorKind::Pattern { backend, .. }, Some(provider)) => {
-            if *backend != PatternBackend::Store {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "sources were provided but the spec declares backend {backend:?}; \
-                     declare PatternBackend::Store"
-                )));
-            }
-            provider.open_source(member, word_bits).map(Some)
-        }
-        (
-            MonitorKind::Pattern {
-                backend: PatternBackend::Store,
-                ..
-            },
-            None,
-        ) => Err(MonitorError::InvalidConfig(
-            "PatternBackend::Store needs a source provider; build with \
-             MonitorSpec::build_with_sources (or mount_with_sources)"
-                .into(),
-        )),
-        (MonitorKind::IntervalPattern { .. }, Some(provider)) => {
-            provider.open_source(member, word_bits).map(Some)
-        }
-        _ => Ok(None),
-    }
-}
-
-/// The packed word width of a member's pattern set (1 bit per neuron for
-/// on-off patterns, `bits` per neuron for interval patterns).
-fn member_word_bits(kind: &MonitorKind, dim: usize) -> usize {
-    match kind {
-        MonitorKind::IntervalPattern { bits, .. } => dim * bits,
-        _ => dim,
-    }
-}
-
-/// Builds one member monitor over one watched boundary: the §III-A/B
-/// construction loop every spec build runs, once per member.
-/// `member` indexes the member within its composition; `provider`, when
-/// given, supplies the external source its pattern set is absorbed into.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_member<P: SourceProvider + ?Sized>(
-    net: &Network,
-    watched: &WatchedLayer,
-    kind: &MonitorKind,
-    robust: Option<RobustConfig>,
-    parallel: bool,
-    data: &[Vec<f64>],
-    member: usize,
-    provider: Option<&mut P>,
-) -> Result<AnyMonitor, MonitorError> {
-    let fx = FeatureExtractor::new(net, watched.layer)?;
-    let fx = match &watched.neurons {
-        None => fx,
-        Some(neurons) => fx.with_neurons(neurons.clone())?,
-    };
-    let source = member_source(kind, member, member_word_bits(kind, fx.dim()), provider)?;
-    let (features, bounds) = compute_samples(net, &fx, watched.layer, robust, parallel, data);
-    let monitor = match kind {
-        MonitorKind::MinMax { gamma } => {
-            let mut m = MinMaxMonitor::empty(fx);
-            match &bounds {
-                Some(bs) => bs.iter().for_each(|b| m.absorb_bounds(b)),
-                None => features.iter().for_each(|f| m.absorb_point(f)),
-            }
-            if *gamma > 0.0 {
-                m.enlarge(*gamma);
-            }
-            AnyMonitor::MinMax(m)
-        }
-        MonitorKind::Pattern {
-            policy,
-            backend,
-            hamming,
-        } => {
-            let lists = policy.resolve(fx.dim(), 1, &features)?;
-            let thresholds: Vec<f64> = lists.into_iter().map(|l| l[0]).collect();
-            let mut m = match source {
-                Some(source) => PatternMonitor::with_source(fx, thresholds, source)?,
-                None => PatternMonitor::empty(fx, thresholds, *backend)?,
-            };
-            m.set_hamming_tolerance(*hamming);
-            match &bounds {
-                Some(bs) => {
-                    for b in bs {
-                        m.absorb_bounds_checked(b)?;
-                    }
-                }
-                None => {
-                    for f in &features {
-                        m.absorb_point_checked(f)?;
-                    }
-                }
-            }
-            m.commit_source()?;
-            AnyMonitor::Pattern(m)
-        }
-        MonitorKind::IntervalPattern { bits, policy } => {
-            let lists = policy.resolve(fx.dim(), *bits, &features)?;
-            let mut m = match source {
-                Some(source) => IntervalPatternMonitor::with_source(fx, *bits, lists, source)?,
-                None => IntervalPatternMonitor::empty(fx, *bits, lists)?,
-            };
-            match &bounds {
-                Some(bs) => {
-                    for b in bs {
-                        m.absorb_bounds_checked(b)?;
-                    }
-                }
-                None => {
-                    for f in &features {
-                        m.absorb_point_checked(f)?;
-                    }
-                }
-            }
-            m.commit_source()?;
-            AnyMonitor::Interval(m)
-        }
-    };
-    Ok(monitor)
-}
-
-/// Mounts one member over an already-populated external source (no
-/// training data; see [`MonitorSpec::mount_with_sources`]).
-fn mount_member(
-    net: &Network,
-    watched: &WatchedLayer,
-    kind: &MonitorKind,
-    member: usize,
-    provider: &mut dyn SourceProvider,
-) -> Result<AnyMonitor, MonitorError> {
-    let fx = FeatureExtractor::new(net, watched.layer)?;
-    let fx = match &watched.neurons {
-        None => fx,
-        Some(neurons) => fx.with_neurons(neurons.clone())?,
-    };
-    let data_free = |policy: &ThresholdPolicy, bits: usize| {
-        policy.resolve(fx.dim(), bits, &[]).map_err(|e| match e {
-            MonitorError::EmptyTrainingSet => MonitorError::InvalidConfig(format!(
-                "{policy:?} thresholds need training data; warm starts require a \
-                 data-free policy (Sign or Explicit)"
-            )),
-            other => other,
-        })
-    };
-    match kind {
-        MonitorKind::MinMax { .. } => Err(MonitorError::InvalidConfig(
-            "min-max monitors keep their bounds in the artifact, not a pattern \
-             store; load them through napmon-artifact instead of mounting"
-                .into(),
-        )),
-        MonitorKind::Pattern {
-            policy,
-            backend,
-            hamming,
-        } => {
-            if *backend != PatternBackend::Store {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "mounting needs backend PatternBackend::Store, spec declares {backend:?}"
-                )));
-            }
-            let thresholds: Vec<f64> = data_free(policy, 1)?.into_iter().map(|l| l[0]).collect();
-            let source = provider.open_source(member, fx.dim())?;
-            let mut m = PatternMonitor::with_source(fx, thresholds, source)?;
-            m.set_hamming_tolerance(*hamming);
-            Ok(AnyMonitor::Pattern(m))
-        }
-        MonitorKind::IntervalPattern { bits, policy } => {
-            let lists = data_free(policy, *bits)?;
-            let source = provider.open_source(member, fx.dim() * *bits)?;
-            Ok(AnyMonitor::Interval(IntervalPatternMonitor::with_source(
-                fx, *bits, lists, source,
-            )?))
-        }
-    }
 }
 
 /// Per-sample features and (when robust) perturbation estimates, both
@@ -826,49 +722,26 @@ fn compute_samples(
     parallel: bool,
     data: &[Vec<f64>],
 ) -> (Vec<Vec<f64>>, Option<Vec<BoxBounds>>) {
-    let results: Vec<(Vec<f64>, Option<BoxBounds>)> = if !parallel || data.len() < 64 {
-        // Serial path reuses one propagator across samples.
+    // One propagator per chunk, reused across its samples.
+    let sample_chunk = |chunk: &[Vec<f64>]| {
         let prop = robust.map(|r| Propagator::new(net, r.domain));
-        data.iter()
+        chunk
+            .iter()
             .map(|sample| sample_one(net, fx, layer, robust, prop.as_ref(), sample))
-            .collect()
+            .collect::<Vec<_>>()
+    };
+    let results = if !parallel || data.len() < 64 {
+        sample_chunk(data)
     } else {
-        let threads = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(4);
-        let chunk_size = data.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        // One cached propagator per worker.
-                        let prop = robust.map(|r| Propagator::new(net, r.domain));
-                        chunk
-                            .iter()
-                            .map(|sample| sample_one(net, fx, layer, robust, prop.as_ref(), sample))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
+        let threads = std::thread::available_parallelism().map_or(4, usize::from);
+        map_chunks(data, threads, sample_chunk).concat()
     };
     let (features, bounds): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    let bounds: Option<Vec<BoxBounds>> = if robust.is_some() {
-        Some(
-            bounds
-                .into_iter()
-                .map(|b| b.expect("robust bounds computed"))
-                .collect(),
-        )
-    } else {
-        None
-    };
-    (features, bounds)
+    // Every sample carries bounds exactly when the build is robust.
+    (
+        features,
+        robust.map(|_| bounds.into_iter().flatten().collect()),
+    )
 }
 
 /// One sample of the construction loop: projected features plus (when
@@ -1043,7 +916,7 @@ impl ComposedMonitor {
                 fresh += usize::from(m.absorb_input_shared(net, input)?);
             }
             ComposedMonitor::MultiLayer(m) => {
-                check_input(net, input, "multi-layer absorb input")?;
+                check_input(net, input, &"multi-layer absorb input")?;
                 // One forward pass shared across members, exactly like
                 // the multi-layer query path.
                 let boundaries = net.boundary_values(input);
@@ -1054,7 +927,7 @@ impl ComposedMonitor {
                 }
             }
             ComposedMonitor::PerClass(m) => {
-                check_input(net, input, "per-class absorb input")?;
+                check_input(net, input, &"per-class absorb input")?;
                 let class = m.checked_class(net.predict_class(input))?;
                 fresh += usize::from(m.class_monitor(class).absorb_input_shared(net, input)?);
             }
@@ -1075,7 +948,7 @@ impl ComposedMonitor {
         match self {
             ComposedMonitor::Single(m) => m.absorb_input_mut(net, input),
             ComposedMonitor::MultiLayer(m) => {
-                check_input(net, input, "multi-layer absorb input")?;
+                check_input(net, input, &"multi-layer absorb input")?;
                 let boundaries = net.boundary_values(input);
                 for member in m.members_mut() {
                     let fx = member.extractor();
@@ -1085,7 +958,7 @@ impl ComposedMonitor {
                 Ok(())
             }
             ComposedMonitor::PerClass(m) => {
-                check_input(net, input, "per-class absorb input")?;
+                check_input(net, input, &"per-class absorb input")?;
                 let class = m.checked_class(net.predict_class(input))?;
                 m.monitors_mut()[class].absorb_input_mut(net, input)
             }
@@ -1103,31 +976,6 @@ impl Monitor for ComposedMonitor {
             ComposedMonitor::Single(m) => m.extractor(),
             ComposedMonitor::MultiLayer(m) => m.members()[0].extractor(),
             ComposedMonitor::PerClass(m) => m.class_monitor(0).extractor(),
-        }
-    }
-
-    /// Feature-level verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics for composite (multi-layer / per-class) monitors: their
-    /// decision needs the full network input, not one feature vector. Use
-    /// [`Monitor::verdict`] / [`Monitor::verdict_scratch`], which work for
-    /// every composition.
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        match self {
-            ComposedMonitor::Single(m) => m.verdict_features(features),
-            _ => panic!(
-                "composite monitors have no single feature vector; \
-                 query with verdict()/verdict_scratch() on the network input"
-            ),
-        }
-    }
-
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        match self {
-            ComposedMonitor::Single(m) => m.verdict_features_scratch(features, scratch),
-            _ => self.verdict_features(features),
         }
     }
 
@@ -1154,15 +1002,6 @@ impl Monitor for ComposedMonitor {
         }
     }
 
-    /// Composites answer through [`Monitor::verdict_scratch`] with a fresh
-    /// scratch, so each composition has exactly one query path.
-    fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        match self {
-            ComposedMonitor::Single(m) => m.verdict(net, input),
-            _ => self.verdict_scratch(net, input, &mut QueryScratch::new()),
-        }
-    }
-
     /// The single member's verdict; for multi-layer, one forward pass
     /// shared across every member and the member verdicts combined by the
     /// vote; for per-class, the verdict of the predicted class's member.
@@ -1178,7 +1017,7 @@ impl Monitor for ComposedMonitor {
         match self {
             ComposedMonitor::Single(m) => m.verdict_scratch(net, input, scratch),
             ComposedMonitor::MultiLayer(m) => {
-                check_input(net, input, "multi-layer query input")?;
+                check_input(net, input, &"multi-layer query input")?;
                 let boundaries = net.boundary_values(input);
                 let mut warnings = 0usize;
                 let mut evidence = Vec::new();
@@ -1200,25 +1039,12 @@ impl Monitor for ComposedMonitor {
                 })
             }
             ComposedMonitor::PerClass(m) => {
-                check_input(net, input, "per-class query input")?;
+                check_input(net, input, &"per-class query input")?;
                 let out = net.forward_prefix_into(input, net.num_layers(), &mut scratch.forward);
                 let class = m.checked_class(napmon_tensor::vector::argmax(out))?;
                 m.class_monitor(class).verdict_scratch(net, input, scratch)
             }
         }
-    }
-}
-
-/// Rejects an operational input whose width is not the network's.
-fn check_input(net: &Network, input: &[f64], context: &str) -> Result<(), MonitorError> {
-    if input.len() == net.input_dim() {
-        Ok(())
-    } else {
-        Err(MonitorError::DimensionMismatch {
-            context: context.into(),
-            expected: net.input_dim(),
-            actual: input.len(),
-        })
     }
 }
 
@@ -1462,20 +1288,6 @@ mod tests {
         for (p, v) in probes.iter().zip(&batch) {
             assert_eq!(m.verdict(&net, p).unwrap(), *v);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no single feature vector")]
-    fn composite_feature_level_query_panics_with_guidance() {
-        let net = net();
-        let data = train_data(16);
-        let spec = MonitorSpec::multi_layer(
-            vec![WatchedLayer::whole(2), WatchedLayer::whole(4)],
-            MonitorKind::min_max(),
-            Vote::Any,
-        );
-        let m = spec.build(&net, &data).unwrap();
-        m.verdict_features(&[0.0; 8]);
     }
 
     fn memory_provider() -> impl SourceProvider {

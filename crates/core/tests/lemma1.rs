@@ -7,7 +7,7 @@
 //! `kp`) to some training input must not trigger a warning.
 
 use napmon_absint::Domain;
-use napmon_core::{Monitor, MonitorKind, MonitorSpec};
+use napmon_core::{Monitor, MonitorKind, MonitorSpec, QueryScratch};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
 use proptest::prelude::*;
@@ -39,11 +39,25 @@ fn kinds() -> Vec<MonitorKind> {
     ]
 }
 
+/// The sampled direction followed by the 8 sign vectors {−1, +1}³: the
+/// corners of the Δ-box.
+fn directions(sampled: &[f64]) -> Vec<Vec<f64>> {
+    let corners = (0..8u32).map(|m| {
+        (0..3)
+            .map(|j| if m >> j & 1 == 1 { 1.0 } else { -1.0 })
+            .collect()
+    });
+    std::iter::once(sampled.to_vec()).chain(corners).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Perturbation at the input layer (kp = 0): for every monitor family,
     /// every Δ-bounded input perturbation of a training point is accepted.
+    /// Besides the sampled direction, each case probes the 8 corners of
+    /// the Δ-box, where the Box bounds are tight, and answers every probe
+    /// both per input and through the batched path the engine serves.
     #[test]
     fn lemma1_input_layer_perturbations(
         net_seed in 0u64..500,
@@ -60,10 +74,24 @@ proptest! {
                 .build(&net, &data)
                 .unwrap();
             let base = &data[pick % data.len()];
-            let v_op: Vec<f64> = base.iter().zip(&dir).map(|(b, d)| b + d * delta).collect();
+            let v_ops: Vec<Vec<f64>> = directions(&dir)
+                .iter()
+                .map(|d| base.iter().zip(d).map(|(b, d)| b + d * delta).collect())
+                .collect();
+            for v_op in &v_ops {
+                prop_assert!(
+                    !monitor.verdict(&net, v_op).unwrap().warning,
+                    "{kind:?} warned on a Δ-close input {v_op:?} (Δ = {delta})"
+                );
+            }
+            let mut batch = Vec::new();
+            monitor
+                .verdict_batch_scratch(&net, &v_ops, &mut QueryScratch::new(), &mut batch)
+                .unwrap();
+            prop_assert_eq!(batch.len(), v_ops.len());
             prop_assert!(
-                !monitor.verdict(&net, &v_op).unwrap().warning,
-                "{kind:?} warned on a Δ-close input (Δ = {delta})"
+                batch.iter().all(|v| !v.warning),
+                "{:?} batch path warned on a Δ-close input (Δ = {})", kind, delta
             );
         }
     }
@@ -95,8 +123,9 @@ proptest! {
             let at_kp = net.forward_prefix(&data[pick % data.len()], kp);
             let perturbed: Vec<f64> = at_kp.iter().map(|&v| v + rng.uniform(-delta, delta)).collect();
             let features = net.forward_range(&perturbed, kp, k);
+            let member = monitor.as_single().unwrap();
             prop_assert!(
-                !monitor.verdict_features(&features).warning,
+                !member.verdict_features_scratch(&features, &mut QueryScratch::new()).warning,
                 "{kind:?} warned on a feature-space Δ-close point"
             );
         }

@@ -10,8 +10,9 @@
 
 use napmon_bdd::BitWord;
 use napmon_core::{
-    ComposedMonitor, FeatureExtractor, Monitor, MonitorKind, MonitorSpec, MultiLayerMonitor,
-    PatternBackend, PatternMonitor, QueryScratch, Vote,
+    shared_source, ComposedMonitor, Composition, FeatureExtractor, MemoryPatternSource, Monitor,
+    MonitorError, MonitorKind, MonitorSpec, MultiLayerMonitor, PatternBackend, PatternMonitor,
+    QueryScratch, ThresholdPolicy, Vote, WatchedLayer,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
@@ -390,6 +391,10 @@ fn sliced_batch_kernel_agrees_with_sequential_across_limb_boundary() {
     }
 }
 
+/// Malformed inputs get typed refusals, never verdicts: a wrong width
+/// through the batch APIs, and NaN / `+inf` / `-inf` values through every
+/// query (single and batch), absorb and build path of every family and
+/// composition, in-memory and store-backed.
 #[test]
 fn batch_apis_propagate_dimension_errors() {
     let net = Network::seeded(51, 4, &[LayerSpec::dense(8, Activation::Relu)]);
@@ -403,6 +408,75 @@ fn batch_apis_propagate_dimension_errors() {
     assert!(m
         .query_batch_parallel_with(&net, &bad, machine_width())
         .is_err());
+
+    // Non-finite values, on a net with two watchable boundaries and two
+    // classes so every composition applies.
+    let net = Network::seeded(
+        53,
+        4,
+        &[
+            LayerSpec::dense(8, Activation::Relu),
+            LayerSpec::dense(6, Activation::Relu),
+            LayerSpec::dense(2, Activation::Identity),
+        ],
+    );
+    let train: Vec<Vec<f64>> = (0..48).map(|_| rng.uniform_vec(4, -0.5, 0.5)).collect();
+    let labels: Vec<usize> = (0..train.len()).map(|i| i % 2).collect();
+    let hash = MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 1);
+    let store = MonitorKind::pattern_with(ThresholdPolicy::Sign, PatternBackend::Store, 0);
+    let bad_values = [(1, f64::NAN), (2, f64::INFINITY), (0, f64::NEG_INFINITY)];
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    for (kind, stored) in [
+        (MonitorKind::min_max(), false),
+        (MonitorKind::pattern(), false),
+        (hash, false),
+        (store, true),
+        (MonitorKind::interval(2), false),
+        (MonitorKind::interval(2), true),
+    ] {
+        let layers = vec![WatchedLayer::whole(2), WatchedLayer::whole(4)];
+        for spec in [
+            MonitorSpec::new(4, kind.clone()),
+            MonitorSpec::multi_layer(layers, kind.clone(), Vote::Any),
+            MonitorSpec::new(4, kind).per_class(2),
+        ] {
+            let build = |data: &[Vec<f64>]| {
+                let mut provider =
+                    |_: usize, bits: usize| Ok(shared_source(MemoryPatternSource::new(bits)));
+                match (stored, &spec.composition) {
+                    (true, _) => spec.build_with_sources(&net, data, &mut provider),
+                    (false, Composition::PerClass { .. }) => {
+                        spec.build_with_labels(&net, data, &labels)
+                    }
+                    (false, _) => spec.build(&net, data),
+                }
+            };
+            let mut monitor = build(&train).unwrap();
+            let label = format!("{:?} {:?}", spec.kind, spec.composition);
+            for (position, value) in bad_values {
+                let mut input = vec![0.1; 4];
+                input[position] = value;
+                let mut poisoned = train.clone();
+                poisoned[5] = input.clone();
+                let batch = [vec![0.1; 4], input.clone()];
+                for refused in [
+                    build(&poisoned).err(),
+                    monitor.verdict(&net, &input).err(),
+                    monitor
+                        .verdict_batch_scratch(&net, &batch, &mut scratch, &mut out)
+                        .err(),
+                    monitor.absorb_operation(&net, &input).err(),
+                    monitor.absorb_mut(&net, &input).err(),
+                ] {
+                    assert!(
+                        matches!(refused, Some(MonitorError::NonFinite { position: p, .. }) if p == position),
+                        "{label}: expected a NonFinite refusal at {position}, got {refused:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -204,7 +204,12 @@ impl Monitor for PanickingMonitor {
         &self.0
     }
 
-    fn verdict_features(&self, _features: &[f64]) -> napmon_core::Verdict {
+    fn verdict_scratch(
+        &self,
+        _net: &napmon_nn::Network,
+        _input: &[f64],
+        _scratch: &mut napmon_core::QueryScratch,
+    ) -> Result<napmon_core::Verdict, MonitorError> {
         panic!("synthetic shard failure");
     }
 }

@@ -559,30 +559,6 @@ impl WireServer {
         }
     }
 
-    /// Binds `addr` and starts serving `engine`.
-    #[deprecated(
-        note = "use `WireServer::builder(engine).config(config).bind(addr)` — one entry point for both backends"
-    )]
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        engine: MonitorEngine<ComposedMonitor>,
-        config: WireConfig,
-    ) -> Result<Self, WireError> {
-        Self::builder(engine).config(config).bind(addr)
-    }
-
-    /// Binds `addr` and serves `registry`.
-    #[deprecated(
-        note = "use `WireServer::builder(registry).config(config).bind(addr)` — one entry point for both backends"
-    )]
-    pub fn bind_registry(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MonitorRegistry>,
-        config: WireConfig,
-    ) -> Result<Self, WireError> {
-        Self::builder(registry).config(config).bind(addr)
-    }
-
     fn bind_backend(
         addr: impl ToSocketAddrs,
         backend: Backend,

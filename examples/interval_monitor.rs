@@ -6,7 +6,7 @@
 //! ```
 
 use napmon::absint::BoxBounds;
-use napmon::core::{FeatureExtractor, IntervalPatternMonitor, Monitor};
+use napmon::core::{FeatureExtractor, IntervalPatternMonitor, QueryScratch};
 use napmon::eval::table::Table;
 use napmon::nn::{Activation, LayerSpec, Network};
 
@@ -49,9 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Absorb one perturbation estimate and query around it.
     monitor.absorb_bounds(&BoxBounds::new(vec![0.5], vec![1.5])); // {01, 10}
     println!("after absorbing [0.5, 1.5] (symbols {{01, 10}}):");
+    let mut scratch = QueryScratch::new();
     for v in [-0.5, 0.7, 1.4, 2.5] {
         // The network here is weights*(x) so craft inputs mapping to v.
-        let warn = monitor.verdict_features(&[v]).warning;
+        let warn = monitor.verdict_features_scratch(&[v], &mut scratch).warning;
         println!("  feature {v:+.1} -> warning: {warn}");
     }
 

@@ -76,5 +76,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         !robust.verdict(&net, &near)?.warning,
         "Lemma 1 guarantees this"
     );
+
+    // 5. An input outside the network's domain gets a typed refusal, never
+    //    a verdict.
+    match robust.verdict(&net, &[f64::NAN, 0.0]) {
+        Err(refusal) => println!("NaN input -> refused: {refusal}"),
+        Ok(verdict) => panic!("a NaN input got a verdict: {verdict:?}"),
+    }
     Ok(())
 }

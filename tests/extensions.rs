@@ -4,7 +4,7 @@
 use napmon::absint::Domain;
 use napmon::core::{
     AnyMonitor, ComposedMonitor, Monitor, MonitorKind, MonitorSpec, MultiLayerMonitor,
-    ScoredMonitor, Vote, WatchedLayer,
+    QueryScratch, ScoredMonitor, Vote, WatchedLayer,
 };
 use napmon::eval::{auc, roc, scores};
 use napmon::nn::{Activation, LayerSpec, Network};
@@ -108,11 +108,14 @@ fn scores_refine_the_binary_verdict() {
     let (net, train, _, _) = setup();
     let monitor = member(MonitorSpec::new(4, MonitorKind::min_max()), &net, &train);
     let mut rng = Prng::seed(93);
+    let mut scratch = QueryScratch::new();
     for _ in 0..200 {
         let probe = rng.uniform_vec(3, -2.0, 2.0);
         let features = monitor.extractor().features(&net, &probe).unwrap();
         assert_eq!(
-            monitor.verdict_features(&features).warning,
+            monitor
+                .verdict_features_scratch(&features, &mut scratch)
+                .warning,
             monitor.score_features(&features) > 0.0
         );
     }
