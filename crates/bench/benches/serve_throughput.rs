@@ -101,8 +101,7 @@ struct Report {
     /// it threads-aware.
     registry_shadow_overhead: f64,
     /// Mean `promote()` wall time (µs) over hot-swap flips: detach the
-    /// mirror, flush it, flip the active pointer, hand the old engine to
-    /// the background drainer.
+    /// mirror, flush it, flip the active pointer, retire the old engine.
     registry_flip_latency_us: f64,
     /// Cost of the observability probes on the serving hot path, measured
     /// in one binary via the runtime tracing toggle.
@@ -272,9 +271,8 @@ fn main() {
 
     // Flip latency: promote the standing shadow, then keep re-shadowing
     // and promoting. Each `promote` detaches + flushes the mirror, flips
-    // the active pointer, and hands the retiree to the background
-    // drainer; retirees are reaped as we go so the flip mill does not
-    // stack idle engines.
+    // the active pointer, and retires the old engine; retirees are reaped
+    // as we go so the flip mill does not stack idle engines.
     let mut flip_ns = 0u128;
     for flip in 0..FLIP_COUNT {
         if flip > 0 {
@@ -295,9 +293,9 @@ fn main() {
 
     // Obs-probe overhead: one engine, one workload, toggled at runtime.
     // The uninstrumented leg runs with tracing disarmed (probes read the
-    // flag and fold away); the instrumented leg arms tracing and submits
-    // every batch under a minted trace id, so each micro-batch pays the
-    // queue-wait and verdict span records — the worst-case probe cost.
+    // flag and fold away); the instrumented leg arms tracing and records
+    // what a traced wire frame adds around its backend call — a minted
+    // trace id plus the queue-wait and verdict spans.
     let obs_engine = fresh_engine();
     obs_engine
         .submit_batch(std::sync::Arc::clone(&shared))
@@ -319,10 +317,19 @@ fn main() {
     let mut served = 0u64;
     while start.elapsed().as_secs_f64() < measure_secs() {
         let trace_id = napmon_obs::mint_trace_id();
+        let started = napmon_obs::now_ns();
+        napmon_obs::record_span(trace_id, napmon_obs::SpanKind::QueueWait, started, 0, 1);
         black_box(
             obs_engine
-                .submit_batch_traced(std::sync::Arc::clone(&shared), trace_id)
+                .submit_batch(std::sync::Arc::clone(&shared))
                 .unwrap(),
+        );
+        napmon_obs::record_span(
+            trace_id,
+            napmon_obs::SpanKind::Verdict,
+            started,
+            napmon_obs::now_ns().saturating_sub(started),
+            BATCH_SIZE as u64,
         );
         served += BATCH_SIZE as u64;
     }

@@ -152,10 +152,11 @@ impl FeatureExtractor {
     ///
     /// Returns [`MonitorError::DimensionMismatch`] if `input` does not match
     /// the network input dimension and [`MonitorError::NonFinite`] if it
-    /// holds a NaN or infinite value.
+    /// holds a NaN or infinite value, or if the forward pass overflows
+    /// into one at a monitored neuron.
     pub fn features(&self, net: &Network, input: &[f64]) -> Result<Vec<f64>, MonitorError> {
         check_input(net, input, &"feature extraction input")?;
-        Ok(self.project(&net.forward_prefix(input, self.layer)))
+        self.project_checked(&net.forward_prefix(input, self.layer))
     }
 
     /// Computes `G^k(input)` (projected) into a reused output buffer via
@@ -173,8 +174,34 @@ impl FeatureExtractor {
     ) -> Result<(), MonitorError> {
         check_input(net, input, &"feature extraction input")?;
         let full = net.forward_prefix_into(input, self.layer, forward);
+        self.project_checked_into(full, out)
+    }
+
+    /// [`FeatureExtractor::project`] that refuses a non-finite feature: a
+    /// finite input can still overflow in the forward pass, and a NaN or
+    /// infinite feature has no abstraction a monitor could answer from.
+    pub(crate) fn project_checked(&self, full: &[f64]) -> Result<Vec<f64>, MonitorError> {
+        let mut out = Vec::new();
+        self.project_checked_into(full, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`FeatureExtractor::project_into`] with the check of
+    /// [`FeatureExtractor::project_checked`].
+    pub(crate) fn project_checked_into(
+        &self,
+        full: &[f64],
+        out: &mut Vec<f64>,
+    ) -> Result<(), MonitorError> {
         self.project_into(full, out);
-        Ok(())
+        match out.iter().position(|v| !v.is_finite()) {
+            None => Ok(()),
+            Some(position) => Err(MonitorError::NonFinite {
+                context: format!("the features at boundary {}", self.layer),
+                position,
+                value: out[position],
+            }),
+        }
     }
 }
 

@@ -630,7 +630,7 @@ impl MonitorSpec {
     ) -> Result<AnyMonitor, MonitorError> {
         let (fx, source) = self.member_parts(net, watched, member, provider)?;
         let (features, bounds) =
-            compute_samples(net, &fx, watched.layer, self.robust, self.parallel, data);
+            compute_samples(net, &fx, watched.layer, self.robust, self.parallel, data)?;
         let mut m = self.empty_member(fx, &features, source)?;
         match &bounds {
             Some(bs) => bs.iter().try_for_each(|b| m.absorb_bounds(b))?,
@@ -712,6 +712,9 @@ fn check_training_data(net: &Network, data: &[Vec<f64>]) -> Result<(), MonitorEr
     Ok(())
 }
 
+/// Per-sample features and (when robust) perturbation estimates.
+type Samples = (Vec<Vec<f64>>, Option<Vec<BoxBounds>>);
+
 /// Per-sample features and (when robust) perturbation estimates, both
 /// projected to the monitored neurons.
 fn compute_samples(
@@ -721,7 +724,7 @@ fn compute_samples(
     robust: Option<RobustConfig>,
     parallel: bool,
     data: &[Vec<f64>],
-) -> (Vec<Vec<f64>>, Option<Vec<BoxBounds>>) {
+) -> Result<Samples, MonitorError> {
     // One propagator per chunk, reused across its samples.
     let sample_chunk = |chunk: &[Vec<f64>]| {
         let prop = robust.map(|r| Propagator::new(net, r.domain));
@@ -734,14 +737,21 @@ fn compute_samples(
         sample_chunk(data)
     } else {
         let threads = std::thread::available_parallelism().map_or(4, usize::from);
-        map_chunks(data, threads, sample_chunk).concat()
+        map_chunks(data, threads, sample_chunk)
+            .into_iter()
+            .flatten()
+            .collect()
     };
-    let (features, bounds): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let (features, bounds): (Vec<_>, Vec<_>) = results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
     // Every sample carries bounds exactly when the build is robust.
-    (
+    Ok((
         features,
         robust.map(|_| bounds.into_iter().flatten().collect()),
-    )
+    ))
 }
 
 /// One sample of the construction loop: projected features plus (when
@@ -753,8 +763,8 @@ fn sample_one(
     robust: Option<RobustConfig>,
     prop: Option<&Propagator<'_>>,
     sample: &[f64],
-) -> (Vec<f64>, Option<BoxBounds>) {
-    let features = fx.project(&net.forward_prefix(sample, layer));
+) -> Result<(Vec<f64>, Option<BoxBounds>), MonitorError> {
+    let features = fx.project_checked(&net.forward_prefix(sample, layer))?;
     let bounds = robust.map(|r| {
         let pe = perturbation_estimate_with(
             prop.expect("propagator exists when robust"),
@@ -766,7 +776,7 @@ fn sample_one(
         .expect("validated robust config");
         fx.project_bounds(&pe)
     });
-    (features, bounds)
+    Ok((features, bounds))
 }
 
 /// A deployable monitor of any composition, as produced by
@@ -922,7 +932,7 @@ impl ComposedMonitor {
                 let boundaries = net.boundary_values(input);
                 for member in m.members() {
                     let fx = member.extractor();
-                    let features = fx.project(&boundaries[fx.layer()]);
+                    let features = fx.project_checked(&boundaries[fx.layer()])?;
                     fresh += usize::from(member.absorb_features_shared(&features)?);
                 }
             }
@@ -952,7 +962,7 @@ impl ComposedMonitor {
                 let boundaries = net.boundary_values(input);
                 for member in m.members_mut() {
                     let fx = member.extractor();
-                    let features = fx.project(&boundaries[fx.layer()]);
+                    let features = fx.project_checked(&boundaries[fx.layer()])?;
                     member.absorb_features_mut(&features)?;
                 }
                 Ok(())
@@ -1024,7 +1034,11 @@ impl Monitor for ComposedMonitor {
                 let mut features = std::mem::take(&mut scratch.features);
                 for member in m.members() {
                     let fx = member.extractor();
-                    fx.project_into(&boundaries[fx.layer()], &mut features);
+                    if let Err(e) = fx.project_checked_into(&boundaries[fx.layer()], &mut features)
+                    {
+                        scratch.features = features;
+                        return Err(e);
+                    }
                     let v = member.verdict_features_scratch(&features, scratch);
                     if v.warning {
                         warnings += 1;

@@ -475,6 +475,26 @@ fn batch_apis_propagate_dimension_errors() {
                     );
                 }
             }
+            // A finite input whose forward pass overflows: the refusal
+            // names the monitored features, not an input position.
+            let overflow = vec![1e308; 4];
+            let mut poisoned = train.clone();
+            poisoned[5] = overflow.clone();
+            let batch = [vec![0.1; 4], overflow.clone()];
+            for refused in [
+                build(&poisoned).err(),
+                monitor.verdict(&net, &overflow).err(),
+                monitor
+                    .verdict_batch_scratch(&net, &batch, &mut scratch, &mut out)
+                    .err(),
+                monitor.absorb_operation(&net, &overflow).err(),
+                monitor.absorb_mut(&net, &overflow).err(),
+            ] {
+                assert!(
+                    matches!(&refused, Some(MonitorError::NonFinite { context, .. }) if context.contains("boundary")),
+                    "{label}: expected a NonFinite refusal of the features, got {refused:?}"
+                );
+            }
         }
     }
 }

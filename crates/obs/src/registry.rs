@@ -23,8 +23,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// A monotonically increasing counter handle. Clone freely; all clones
-/// (and all handles resolved for the same name) share one cell.
-#[derive(Clone, Debug)]
+/// (and all handles resolved for the same name) share one cell. The
+/// default is a [standalone](Counter::standalone) counter.
+#[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {

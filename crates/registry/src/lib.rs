@@ -13,18 +13,27 @@
 //!                                       (mirror queue, verdict diff)
 //! ```
 //!
+//! **One pool for every tenant.** The registry owns one
+//! [`WorkerPool`](napmon_serve::WorkerPool) of `RegistryConfig::engine`
+//! workers, and every engine it mounts serves on it, so thread count does
+//! not grow with tenant count. A wire server in front of the registry runs
+//! its connection jobs on the same pool.
+//!
 //! **Hot-swap** is an arc-swap-style pointer flip behind a `RwLock`: the
 //! writer holds the lock only to exchange the `Arc<Mounted>`, readers only
 //! to clone it, so the flip never stalls the serving path. In-flight
 //! requests finish on the engine they resolved (they hold its `Arc`), and
-//! the replaced engine is handed to a background drainer that waits for
-//! `Arc::strong_count == 1` **and** `queue_depth == 0` before tearing its
-//! worker threads down — retirement never cancels work.
+//! the replaced engine is retired in place: it is done once its
+//! `Arc::strong_count == 1` **and** its `queue_depth == 0`, with no thread
+//! spawned to watch it. Retiring collects the retirees that went idle
+//! meanwhile; [`MonitorRegistry::reap_retired`] hands their outcomes over,
+//! and [`MonitorRegistry::shutdown`] waits up to the drain timeout for the
+//! rest — retirement never cancels work.
 //!
 //! **Shadow deployment** mounts a candidate beside the active engine.
 //! Live queries are answered by the active engine and mirrored into a
 //! bounded queue (`try_send` — a full queue drops the mirror job, never
-//! blocks the request); a worker replays them on the candidate and
+//! blocks the request); a mirror thread replays them on the candidate and
 //! accumulates a [`ShadowReport`]: agreement rate, per-class disagreement
 //! counts, latency delta. An explicit [`MonitorRegistry::promote`] flushes
 //! the mirror, returns the final report, and performs the atomic flip.
@@ -72,17 +81,18 @@ pub fn valid_tenant_id(id: &str) -> bool {
 /// Registry sizing and policy.
 #[derive(Debug, Clone)]
 pub struct RegistryConfig {
-    /// Engine sizing every mount is created with.
+    /// Engine sizing every mount is created with; `engine.shards` sizes
+    /// the one worker pool all of them share.
     pub engine: EngineConfig,
     /// Root directory for per-tenant namespaced pattern stores; `None`
     /// disables the store-backed mount paths.
     pub store_root: Option<PathBuf>,
     /// Mirror queue capacity (in jobs) for shadow candidates.
     pub mirror_capacity: usize,
-    /// How often a drainer re-checks a retiring engine.
+    /// How often a drain (unmount, shutdown) re-checks a retiring engine.
     pub drain_poll: Duration,
-    /// How long a drain may take before giving up (the engine is then left
-    /// parked rather than torn down under in-flight work).
+    /// How long a drain may take before giving up (the engine is then
+    /// reported `timed_out` rather than torn down under in-flight work).
     pub drain_timeout: Duration,
 }
 

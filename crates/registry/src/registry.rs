@@ -5,14 +5,13 @@ use crate::{valid_tenant_id, RegistryConfig, RegistryError};
 use napmon_artifact::MonitorArtifact;
 use napmon_core::{ComposedMonitor, MonitorSpec, Verdict};
 use napmon_nn::Network;
-use napmon_serve::{MonitorEngine, ServeReport};
+use napmon_serve::{MonitorEngine, ServeReport, WorkerPool};
 use napmon_store::StoreProvider;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One engine mounted under a tenant: the unit the hot-swap pointer flip
@@ -68,10 +67,10 @@ pub struct DrainOutcome {
     pub version: u32,
     /// The engine's final report; `queue_depth == 0` unless `timed_out`.
     pub report: ServeReport,
-    /// Whether the drain deadline expired before the engine quiesced. A
-    /// timed-out drain leaves the engine's worker threads to the process
-    /// (they are parked on empty queues, not spinning) rather than tearing
-    /// them down under in-flight requests.
+    /// Whether the drain deadline expired before the engine went idle.
+    /// A timed-out engine is reported from a live snapshot and freed when
+    /// its last in-flight request lets go of it — never torn down under
+    /// that request.
     pub timed_out: bool,
 }
 
@@ -80,8 +79,8 @@ pub struct DrainOutcome {
 pub struct RegistryReport {
     /// Active and shadow engines unmounted by the shutdown itself.
     pub tenants: Vec<DrainOutcome>,
-    /// Engines retired earlier (hot-swaps, promotes) whose background
-    /// drains the shutdown joined.
+    /// Engines retired earlier (hot-swaps, promotes) that no
+    /// [`MonitorRegistry::reap_retired`] call collected.
     pub retired: Vec<DrainOutcome>,
 }
 
@@ -109,23 +108,46 @@ pub struct TenantInfo {
     pub queue_depth: u64,
 }
 
+/// Engines swapped out of service: those still draining (a request may
+/// hold them) and the outcomes of those that went idle.
+#[derive(Default)]
+struct Retired {
+    draining: Vec<Arc<Mounted>>,
+    drained: Vec<DrainOutcome>,
+}
+
+impl Retired {
+    /// Moves every idle retiree from `draining` to `drained`.
+    fn sweep(&mut self) {
+        let (idle, busy) = std::mem::take(&mut self.draining)
+            .into_iter()
+            .partition(idle);
+        self.draining = busy;
+        self.drained
+            .extend(idle.into_iter().map(|mounted| outcome(mounted, false)));
+    }
+}
+
 /// A multi-tenant monitor registry: `(model_id, version)` → mounted
 /// engine, with atomic hot-swap, drain-safe retirement, and shadow
 /// deployment. See the [crate docs](crate) for the lifecycle.
 pub struct MonitorRegistry {
     config: RegistryConfig,
+    /// The one pool every mount the registry creates serves on.
+    pool: Arc<WorkerPool>,
     tenants: RwLock<BTreeMap<String, Arc<TenantState>>>,
-    retired: Mutex<Vec<JoinHandle<DrainOutcome>>>,
+    retired: Mutex<Retired>,
     closed: AtomicBool,
 }
 
 impl MonitorRegistry {
-    /// An empty registry.
+    /// An empty registry with a pool of `config.engine.shards` workers.
     pub fn new(config: RegistryConfig) -> Self {
         Self {
+            pool: Arc::new(WorkerPool::new(config.engine.shards)),
             config,
             tenants: RwLock::new(BTreeMap::new()),
-            retired: Mutex::new(Vec::new()),
+            retired: Mutex::new(Retired::default()),
             closed: AtomicBool::new(false),
         }
     }
@@ -133,6 +155,26 @@ impl MonitorRegistry {
     /// The configuration the registry runs with.
     pub fn config(&self) -> &RegistryConfig {
         &self.config
+    }
+
+    /// When a drain starting now gives up.
+    fn drain_deadline(&self) -> Instant {
+        Instant::now() + self.config.drain_timeout
+    }
+
+    /// The worker pool the registry's own mounts serve on (engines mounted
+    /// prebuilt through [`MonitorRegistry::mount_engine`] keep theirs).
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
+    }
+
+    /// An engine for `monitor` on the registry's pool.
+    fn engine(
+        &self,
+        net: impl Into<Arc<Network>>,
+        monitor: ComposedMonitor,
+    ) -> MonitorEngine<ComposedMonitor> {
+        MonitorEngine::on_pool(net, monitor, self.config.engine, Arc::clone(&self.pool))
     }
 
     fn guard_open(&self) -> Result<(), RegistryError> {
@@ -167,8 +209,8 @@ impl MonitorRegistry {
     /// Mounts `artifact` as tenant `model_id` at `version`. A fresh tenant
     /// starts serving immediately; an existing tenant is **hot-swapped**:
     /// the pointer flips atomically, in-flight requests finish on the old
-    /// engine, and the old engine drains to `queue_depth == 0` in the
-    /// background before its workers are torn down.
+    /// engine, and the old engine is retired (see
+    /// [`MonitorRegistry::reap_retired`]).
     ///
     /// # Errors
     ///
@@ -183,15 +225,13 @@ impl MonitorRegistry {
         artifact: MonitorArtifact,
     ) -> Result<(), RegistryError> {
         self.check_mount(model_id, version)?;
-        self.mount_engine(
-            model_id,
-            version,
-            MonitorEngine::from_artifact(artifact, self.config.engine),
-        )
+        let (net, monitor) = artifact.into_parts();
+        self.mount_engine(model_id, version, self.engine(net, monitor))
     }
 
     /// [`MonitorRegistry::mount`] over an engine the caller already built
-    /// (custom warm-start paths, tests).
+    /// (custom warm-start paths, tests). The engine keeps serving on its
+    /// own pool.
     pub fn mount_engine(
         &self,
         model_id: &str,
@@ -255,8 +295,11 @@ impl MonitorRegistry {
     ) -> Result<(), RegistryError> {
         self.check_mount(model_id, version)?;
         let root = self.tenant_store_dir(model_id, version)?;
-        let engine = MonitorEngine::from_store(spec, net, root, self.config.engine)?;
-        self.mount_engine(model_id, version, engine)
+        let net = net.into();
+        let monitor = spec.mount_with_sources(&net, &mut |member: usize, word_bits: usize| {
+            napmon_store::open_member_source(&root, member, word_bits)
+        })?;
+        self.mount_engine(model_id, version, self.engine(net, monitor))
     }
 
     /// The namespaced store directory for `(model_id, version)`:
@@ -336,11 +379,8 @@ impl MonitorRegistry {
         artifact: MonitorArtifact,
     ) -> Result<(), RegistryError> {
         self.check_mount(model_id, version)?;
-        self.mount_shadow_engine(
-            model_id,
-            version,
-            MonitorEngine::from_artifact(artifact, self.config.engine),
-        )
+        let (net, monitor) = artifact.into_parts();
+        self.mount_shadow_engine(model_id, version, self.engine(net, monitor))
     }
 
     /// [`MonitorRegistry::mount_shadow`] over a prebuilt engine.
@@ -416,30 +456,16 @@ impl MonitorRegistry {
         Ok((active, mirror))
     }
 
-    /// Serves one input on the tenant's active engine, mirroring it to the
-    /// shadow candidate (off the hot path) when one is attached.
+    /// Serves one input on the tenant's active engine — a batch of one
+    /// through [`MonitorRegistry::query_batch`], mirrored alike.
     ///
     /// # Errors
     ///
     /// Routing errors plus [`RegistryError::Serve`] from the engine.
     pub fn query(&self, model_id: &str, input: Vec<f64>) -> Result<Verdict, RegistryError> {
-        let (active, mirror) = self.route(model_id)?;
-        let Some(mirror) = mirror else {
-            return active.engine.submit(input).map_err(Into::into);
-        };
-        let inputs: Arc<[Vec<f64>]> = Arc::from(vec![input]);
-        let started = Instant::now();
-        let mut verdicts = active.engine.submit_batch(Arc::clone(&inputs))?;
-        let active_ns = started.elapsed().as_nanos() as f64;
-        let verdict = verdicts
+        self.query_batch(model_id, vec![input])?
             .pop()
-            .ok_or(RegistryError::Serve(napmon_serve::ServeError::ShardDown))?;
-        mirror.offer(MirrorJob::Query {
-            inputs,
-            active: vec![verdict.clone()],
-            active_ns,
-        });
-        Ok(verdict)
+            .ok_or(RegistryError::Serve(napmon_serve::ServeError::ShardDown))
     }
 
     /// Serves a batch on the tenant's active engine, mirroring it to the
@@ -544,11 +570,9 @@ impl MonitorRegistry {
 
     /// Promotes the shadow candidate to active: detaches the mirror,
     /// flushes it (the returned report covers every mirrored job), flips
-    /// the active pointer atomically, and retires the old engine in the
-    /// background — in-flight requests finish on the engine they started
-    /// on, and the retired engine drains to `queue_depth == 0` before its
-    /// workers are torn down. The flip itself is a pointer swap; live
-    /// traffic never waits on the flush.
+    /// the active pointer atomically, and retires the old engine —
+    /// in-flight requests finish on the engine they started on. The flip
+    /// itself is a pointer swap; live traffic never waits on the flush.
     ///
     /// # Errors
     ///
@@ -630,8 +654,7 @@ impl MonitorRegistry {
             self.retire(candidate);
         }
         let active = self.take_active(tenant);
-        let outcome = drain_mounted(active, &self.config);
-        Ok(outcome.report)
+        Ok(drain_mounted(active, &self.config, self.drain_deadline()).report)
     }
 
     /// Waits out transient routing references on a removed tenant and
@@ -664,46 +687,31 @@ impl MonitorRegistry {
         }
     }
 
-    /// Hands a replaced mount to a background drainer thread.
+    /// Retires a replaced mount: it drains in place until idle. Retiring
+    /// also collects every retiree that went idle meanwhile, keeping its
+    /// outcome for the next [`MonitorRegistry::reap_retired`].
     fn retire(&self, old: Arc<Mounted>) {
-        let config = self.config.clone();
-        let handle = std::thread::Builder::new()
-            .name("napmon-registry-drain".into())
-            .spawn(move || drain_mounted(old, &config))
-            .expect("spawn registry drainer");
-        self.retired
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
+        let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
+        retired.draining.push(old);
+        retired.sweep();
     }
 
-    /// Joins drainers that already finished and returns their outcomes;
-    /// never blocks on a drain still in progress.
+    /// The outcomes of retired engines that have gone idle — no request
+    /// holds them and nothing of theirs is queued; never blocks on one
+    /// still draining.
     pub fn reap_retired(&self) -> Vec<DrainOutcome> {
         let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut done = Vec::new();
-        let mut pending = Vec::new();
-        for handle in retired.drain(..) {
-            if handle.is_finished() {
-                if let Ok(outcome) = handle.join() {
-                    done.push(outcome);
-                }
-            } else {
-                pending.push(handle);
-            }
-        }
-        *retired = pending;
-        done
+        retired.sweep();
+        std::mem::take(&mut retired.drained)
     }
 
-    /// Retired engines whose background drain has not finished yet.
+    /// Retired engines still draining.
     pub fn pending_retired(&self) -> usize {
         self.retired
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter(|h| !h.is_finished())
-            .count()
+            .draining
+            .len()
     }
 
     /// One row per tenant, ordered by id.
@@ -740,9 +748,10 @@ impl MonitorRegistry {
 
     /// Tears the whole registry down: refuses new work, unmounts every
     /// tenant (shadows first, then actives, each drained to
-    /// `queue_depth == 0`), joins every background drainer, and returns
-    /// the full account. Idempotent — a second call returns an empty
-    /// report.
+    /// `queue_depth == 0`), waits up to the drain timeout for the retired
+    /// engines still draining (marking stragglers `timed_out`), stops the
+    /// worker pool, and returns the full account. Idempotent — a second
+    /// call returns an empty report.
     pub fn shutdown(&self) -> RegistryReport {
         self.closed.store(true, Ordering::Release);
         let tenants: Vec<Arc<TenantState>> = {
@@ -759,18 +768,27 @@ impl MonitorRegistry {
             {
                 let model_id = tenant.model_id.clone();
                 let (_report, candidate) = state.finish(&model_id, tenant.active().version);
-                drained.push(drain_mounted(candidate, &self.config));
+                drained.push(drain_mounted(
+                    candidate,
+                    &self.config,
+                    self.drain_deadline(),
+                ));
             }
             let active = self.take_active(tenant);
-            drained.push(drain_mounted(active, &self.config));
+            drained.push(drain_mounted(active, &self.config, self.drain_deadline()));
         }
-        let retired = {
-            let mut handles = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
-            handles
-                .drain(..)
-                .filter_map(|h| h.join().ok())
-                .collect::<Vec<_>>()
-        };
+        // The retirees still draining share one deadline.
+        let deadline = self.drain_deadline();
+        let Retired {
+            draining,
+            drained: mut retired,
+        } = std::mem::take(&mut *self.retired.lock().unwrap_or_else(PoisonError::into_inner));
+        retired.extend(
+            draining
+                .into_iter()
+                .map(|mounted| drain_mounted(mounted, &self.config, deadline)),
+        );
+        self.pool.shutdown();
         RegistryReport {
             tenants: drained,
             retired,
@@ -786,23 +804,30 @@ impl Drop for MonitorRegistry {
     }
 }
 
-/// Waits for a retired mount to quiesce — no dispatcher holds it
-/// (`Arc::strong_count == 1`) and its queue is empty — then shuts the
-/// engine down and reports. On deadline expiry the engine is left running
-/// (its threads park on empty queues) and the report says so.
-fn drain_mounted(mounted: Arc<Mounted>, config: &RegistryConfig) -> DrainOutcome {
-    let started = Instant::now();
-    let mut timed_out = false;
-    loop {
-        if Arc::strong_count(&mounted) == 1 && mounted.engine.queue_depth() == 0 {
-            break;
-        }
-        if started.elapsed() >= config.drain_timeout {
-            timed_out = true;
-            break;
+/// Whether nothing can still reach a retired mount: no dispatcher holds
+/// it and none of its chunks is queued or running.
+fn idle(mounted: &Arc<Mounted>) -> bool {
+    Arc::strong_count(mounted) == 1 && mounted.engine.queue_depth() == 0
+}
+
+/// Waits until `deadline` for a mount to go [`idle`], then reports it.
+fn drain_mounted(
+    mounted: Arc<Mounted>,
+    config: &RegistryConfig,
+    deadline: Instant,
+) -> DrainOutcome {
+    while !idle(&mounted) {
+        if Instant::now() >= deadline {
+            return outcome(mounted, true);
         }
         std::thread::sleep(config.drain_poll);
     }
+    outcome(mounted, false)
+}
+
+/// The final account of a retired mount: its engine shut down when this
+/// is the last handle, a live snapshot (and `timed_out`) otherwise.
+fn outcome(mounted: Arc<Mounted>, timed_out: bool) -> DrainOutcome {
     match Arc::try_unwrap(mounted) {
         Ok(owned) => DrainOutcome {
             model_id: owned.model_id,

@@ -1,13 +1,16 @@
 //! Shadow deployment: a candidate engine mounted beside the active one,
 //! fed mirrored traffic off the hot path, scored by a verdict diff.
 //!
-//! The mirror is a bounded `sync_channel` drained by one worker thread.
-//! The serving path only ever `try_send`s into it — a full queue drops the
-//! mirror job (counted, surfaced in the report) rather than ever blocking
-//! a live request on the candidate. The worker replays each mirrored batch
-//! through the candidate engine and classifies every verdict pair:
-//! agreement, warn-only-active, warn-only-shadow, or detail mismatch
-//! (same warning flag, different violation evidence).
+//! The mirror is a bounded `sync_channel` drained by one thread, whose
+//! FIFO order over mirrored absorbs and queries keeps the report
+//! deterministic. The serving path only ever `try_send`s into it — a full
+//! queue drops the mirror job (counted, surfaced in the report) rather
+//! than ever blocking a live request on the candidate. The mirror thread
+//! replays each mirrored batch through the candidate engine, serving on
+//! its own scratch whatever chunks no idle pool worker claims, and
+//! classifies every verdict pair: agreement, warn-only-active,
+//! warn-only-shadow, or detail mismatch (same warning flag, different
+//! violation evidence).
 
 use crate::registry::Mounted;
 use napmon_core::Verdict;
@@ -103,7 +106,14 @@ impl ShadowState {
         let worker_accum = Arc::clone(&accum);
         let worker = std::thread::Builder::new()
             .name("napmon-shadow-mirror".into())
-            .spawn(move || run_mirror(&worker_mounted, &rx, &worker_accum))
+            // The mirror holds a serving scratch of its own: a promote
+            // arriving as a pool job joins this thread, so it must never
+            // wait on a job queued behind that promote.
+            .spawn(move || {
+                napmon_serve::with_serving_scratch(|| {
+                    run_mirror(&worker_mounted, &rx, &worker_accum)
+                })
+            })
             .expect("spawn shadow mirror worker");
         Self {
             mounted: candidate,

@@ -1,4 +1,4 @@
-//! Long-lived, sharded serving of activation-pattern monitors.
+//! Long-lived serving of activation-pattern monitors on one worker pool.
 //!
 //! The paper's monitors run *in operation time* next to a deployed DNN:
 //! every inference is checked against the frozen abstraction, indefinitely.
@@ -7,24 +7,31 @@
 //! hot and answer submissions as they arrive, at production rates".
 //!
 //! [`MonitorEngine`] owns a [`Network`](napmon_nn::Network) and a monitor
-//! behind `Arc` and fans submissions out to a fixed set of worker *shards*
-//! over `std::sync::mpsc` channels. Each shard is one OS thread holding one
+//! behind `Arc` and serves them on a [`WorkerPool`]: N named threads
+//! sharing one job queue, each holding one
 //! [`QueryScratch`](napmon_core::QueryScratch) for its whole lifetime, so
 //! the steady-state query path — forward pass, abstraction, membership —
-//! touches the heap exactly never per request (verified by the allocation-
-//! counting test in `tests/alloc.rs`). Batches are micro-batched: a
-//! [`MonitorEngine::submit_batch`] call is split into per-shard chunks so
-//! channel traffic is O(shards), not O(requests).
+//! touches the heap exactly never per request (verified by the
+//! allocation-counting test in `tests/alloc.rs`). A standalone engine owns
+//! its pool; [`MonitorEngine::on_pool`] shares one, which is how a
+//! registry serves every mount and how a wire server runs its connection
+//! jobs on the same threads that compute the verdicts.
 //!
-//! Each shard keeps online metrics (request count, warning rate, per-item
+//! A [`MonitorEngine::submit_batch`] is cut into micro-batch chunks that
+//! idle pool workers claim. One rule keeps a shared pool deadlock-free:
+//! **no pool job waits on a job still queued.** A thread that already
+//! holds a serving scratch — a pool worker, or a thread inside
+//! [`with_serving_scratch`] — serves every chunk nobody else has claimed
+//! itself, and so only waits on chunks already being served. A wire frame
+//! thus starts on the worker that took it and spreads over whichever
+//! workers are idle.
+//!
+//! The engine keeps shared counters (request count, warnings, per-item
 //! latency and micro-batch size histograms via
-//! [`napmon_obs::HistogramSnapshot`]); [`MonitorEngine::report`]
-//! aggregates them into a [`ServeReport`] without pausing the stream, and
-//! [`MonitorEngine::shutdown`] closes the channels, drains every queued
-//! job, and returns the final report. With the `obs` feature enabled the
-//! `*_traced` submission entry points additionally emit queue-wait and
-//! verdict spans into `napmon-obs`'s per-thread trace rings under the
-//! caller's request trace id.
+//! [`napmon_obs::LatencyHistogram`]); [`MonitorEngine::report`] reads
+//! them into a [`ServeReport`] without touching the pool, and
+//! [`MonitorEngine::shutdown`] waits out every queued chunk and returns
+//! the final report.
 //!
 //! # Example
 //!
@@ -53,7 +60,9 @@
 //! ```
 
 pub mod engine;
+pub mod pool;
 pub mod report;
 
 pub use engine::{EngineConfig, MonitorEngine, PendingBatch, ServeError};
-pub use report::{ServeReport, ShardReport};
+pub use pool::{with_serving_scratch, WorkerPool};
+pub use report::ServeReport;

@@ -1,5 +1,5 @@
-//! Online serving metrics: per-shard accumulators and the engine-wide
-//! aggregate.
+//! Online serving metrics: what an engine (or a whole registry) has
+//! served.
 //!
 //! Latency is tracked as a log2-bucketed [`HistogramSnapshot`] (exact
 //! count/sum/min/max plus p50/p90/p99/p999 brackets), not just moments:
@@ -9,128 +9,60 @@
 //! in a second histogram, so per-item latency percentiles can be read
 //! against the batching that produced them.
 
-use napmon_eval::OnlineRate;
 use napmon_obs::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 
-/// Metrics one worker shard accumulates over its lifetime.
-///
-/// Owned by the shard thread (no locks on the hot path); snapshots travel
-/// to the caller over the shard's job channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardReport {
-    /// Shard index (`0..shards`).
-    pub shard: usize,
-    /// Warning rate over every request this shard served.
-    pub warnings: OnlineRate,
-    /// Per-request latency histogram in nanoseconds (forward pass +
-    /// abstraction + membership, measured inside the shard). Batched
-    /// requests record `batch time / batch size` per item.
-    pub latency_ns: HistogramSnapshot,
-    /// Sizes of the micro-batches this shard served (singles count as
-    /// size 1) — the denominator behind the per-item latency samples.
-    pub batch_sizes: HistogramSnapshot,
-    /// Jobs sitting in the shard's queue at snapshot time (work enqueued
-    /// but not yet picked up). Zero in the final report of a graceful
-    /// shutdown — the drain guarantee, asserted in the e2e tests.
-    pub queue_depth: u64,
-}
-
-impl ShardReport {
-    /// A fresh report for shard `shard`.
-    pub fn empty(shard: usize) -> Self {
-        Self {
-            shard,
-            warnings: OnlineRate::new(),
-            latency_ns: HistogramSnapshot::new(),
-            batch_sizes: HistogramSnapshot::new(),
-            queue_depth: 0,
-        }
-    }
-
-    /// Absorbs one served request.
-    pub fn record(&mut self, latency_ns: f64, warned: bool) {
-        self.warnings.record(warned);
-        self.latency_ns.record_ns(latency_ns);
-    }
-
-    /// Absorbs one served micro-batch of `size` items.
-    pub fn record_batch(&mut self, size: usize) {
-        self.batch_sizes.record(size as u64);
-    }
-
-    /// Number of requests this shard served.
-    pub fn requests(&self) -> u64 {
-        self.warnings.trials()
-    }
-}
-
-/// Engine-wide aggregate of every shard's [`ShardReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// An engine's serving account: read from its live counters by
+/// [`MonitorEngine::report`](crate::MonitorEngine::report), final after
+/// [`MonitorEngine::shutdown`](crate::MonitorEngine::shutdown).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
-    /// Per-shard rows, ordered by shard index.
-    pub shards: Vec<ShardReport>,
     /// Total requests served.
     pub requests: u64,
     /// Total requests that raised a warning.
     pub warnings: u64,
     /// Fraction of requests that warned (`0.0` while idle).
     pub warn_rate: f64,
-    /// Cross-shard per-item latency histogram (bucket-wise merge of the
-    /// shard histograms — associative, order-independent).
+    /// Per-request latency histogram in nanoseconds (forward pass +
+    /// abstraction + membership). Batched requests record
+    /// `batch time / batch size` per item.
     pub latency_ns: HistogramSnapshot,
-    /// Cross-shard micro-batch size histogram.
+    /// Sizes of the micro-batches served (a single input is a batch of
+    /// one) — the denominator behind the per-item latency samples.
     pub batch_sizes: HistogramSnapshot,
-    /// Jobs queued across all shards at snapshot time (backlog gauge for
-    /// ops; zero after a graceful shutdown).
+    /// Chunks handed to the worker pool and not yet served at snapshot
+    /// time (backlog gauge for ops; zero after a graceful shutdown).
     pub queue_depth: u64,
 }
 
 impl ServeReport {
     /// Merges whole engine reports into one fleet-wide view — the
-    /// registry-level aggregate across every mounted engine. Shard rows
-    /// are renumbered sequentially so the merged report keeps one row per
-    /// underlying worker.
+    /// registry-level aggregate across every mounted engine.
     pub fn merge(reports: impl IntoIterator<Item = ServeReport>) -> Self {
-        let shards = reports
-            .into_iter()
-            .flat_map(|report| report.shards)
-            .enumerate()
-            .map(|(i, mut shard)| {
-                shard.shard = i;
-                shard
-            })
-            .collect();
-        Self::aggregate(shards)
+        let mut total = Self::default();
+        for report in reports {
+            total.requests += report.requests;
+            total.warnings += report.warnings;
+            total.latency_ns.merge(&report.latency_ns);
+            total.batch_sizes.merge(&report.batch_sizes);
+            total.queue_depth += report.queue_depth;
+        }
+        total.warn_rate = Self::rate(total.warnings, total.requests);
+        total
     }
 
-    /// Merges per-shard reports into the engine-wide view.
-    pub fn aggregate(mut shards: Vec<ShardReport>) -> Self {
-        shards.sort_by_key(|r| r.shard);
-        let mut warnings = OnlineRate::new();
-        let mut latency = HistogramSnapshot::new();
-        let mut batch_sizes = HistogramSnapshot::new();
-        let mut queue_depth = 0u64;
-        for shard in &shards {
-            warnings.merge(&shard.warnings);
-            latency.merge(&shard.latency_ns);
-            batch_sizes.merge(&shard.batch_sizes);
-            queue_depth += shard.queue_depth;
-        }
-        Self {
-            shards,
-            requests: warnings.trials(),
-            warnings: warnings.hits(),
-            warn_rate: warnings.rate(),
-            latency_ns: latency,
-            batch_sizes,
-            queue_depth,
+    /// `warnings / requests`, `0.0` while idle.
+    pub(crate) fn rate(warnings: u64, requests: u64) -> f64 {
+        if requests == 0 {
+            0.0
+        } else {
+            warnings as f64 / requests as f64
         }
     }
 }
 
 impl std::fmt::Display for ServeReport {
-    /// A compact operations card: totals first, one line per shard.
+    /// A compact one-line operations card.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
@@ -144,21 +76,7 @@ impl std::fmt::Display for ServeReport {
             self.latency_ns.p99(),
             self.latency_ns.max(),
             self.queue_depth,
-        )?;
-        for s in &self.shards {
-            writeln!(
-                f,
-                "  shard {}: {} requests, warn rate {:.4}, latency mean {:.0}ns \
-                 (p99 {:.0}), {} queued",
-                s.shard,
-                s.requests(),
-                s.warnings.rate(),
-                s.latency_ns.mean(),
-                s.latency_ns.p99(),
-                s.queue_depth,
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -166,104 +84,75 @@ impl std::fmt::Display for ServeReport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn aggregate_merges_and_orders_shards() {
-        let mut a = ShardReport::empty(1);
-        a.record(100.0, false);
-        a.record(300.0, true);
-        let mut b = ShardReport::empty(0);
-        b.record(200.0, false);
-        let report = ServeReport::aggregate(vec![a, b]);
-        assert_eq!(report.requests, 3);
-        assert_eq!(report.warnings, 1);
-        assert!((report.warn_rate - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(report.latency_ns.min(), 100.0);
-        assert_eq!(report.latency_ns.max(), 300.0);
-        assert!((report.latency_ns.mean() - 200.0).abs() < 1e-9);
-        assert_eq!(report.shards[0].shard, 0);
-        assert_eq!(report.shards[1].shard, 1);
+    /// A report of `latencies` served, the first `warned` of them warning.
+    fn served(latencies: &[u64], warned: u64) -> ServeReport {
+        let mut report = ServeReport::default();
+        for &ns in latencies {
+            report.latency_ns.record(ns);
+        }
+        report.batch_sizes.record(latencies.len() as u64);
+        report.requests = latencies.len() as u64;
+        report.warnings = warned;
+        report.warn_rate = ServeReport::rate(warned, report.requests);
+        report
     }
 
     #[test]
     fn empty_aggregate_is_idle() {
-        let report = ServeReport::aggregate(vec![ShardReport::empty(0)]);
-        assert_eq!(report.requests, 0);
-        assert_eq!(report.warn_rate, 0.0);
-        let none = ServeReport::aggregate(Vec::new());
+        let none = ServeReport::merge(Vec::new());
+        assert_eq!(none, ServeReport::default());
         assert_eq!(none.requests, 0);
+        assert_eq!(none.warn_rate, 0.0);
     }
 
     #[test]
-    fn display_lists_totals_and_shards() {
-        let mut s = ShardReport::empty(0);
-        s.record(50.0, true);
-        let text = ServeReport::aggregate(vec![s, ShardReport::empty(1)]).to_string();
+    fn display_lists_totals() {
+        let text = served(&[50], 1).to_string();
         assert!(text.contains("1 requests"), "{text}");
-        assert!(text.contains("shard 0"), "{text}");
-        assert!(text.contains("shard 1"), "{text}");
         assert!(text.contains("p99"), "{text}");
     }
 
-    /// Ops scrape reports as JSON: the whole report (shards, rates,
-    /// latency histograms, queue depths) must survive a serde round trip
+    /// Ops scrape reports as JSON: the whole report (rates, latency
+    /// histograms, queue depth) must survive a serde round trip
     /// bit-identically.
     #[test]
     fn report_serializes_to_json() {
-        let mut s = ShardReport::empty(0);
-        s.record(10.0, false);
-        s.record(25.0, true);
-        s.record_batch(2);
-        s.queue_depth = 3;
-        let report = ServeReport::aggregate(vec![s, ShardReport::empty(1)]);
+        let mut report = served(&[10, 25], 1);
+        report.queue_depth = 3;
         let json = serde_json::to_string(&report).unwrap();
         for key in [
             "\"warn_rate\"",
             "\"queue_depth\"",
             "\"latency_ns\"",
             "\"batch_sizes\"",
-            "\"shards\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         let back: ServeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.queue_depth, 3);
-        assert_eq!(back.shards[0].queue_depth, 3);
         assert_eq!(back.batch_sizes.count(), 1);
     }
 
     #[test]
-    fn merge_renumbers_shards_and_sums_totals() {
-        let mut a = ShardReport::empty(0);
-        a.record(100.0, true);
-        a.queue_depth = 1;
-        let mut b = ShardReport::empty(0);
-        b.record(300.0, false);
-        b.queue_depth = 2;
-        let merged = ServeReport::merge(vec![
-            ServeReport::aggregate(vec![a]),
-            ServeReport::aggregate(vec![b]),
-        ]);
-        assert_eq!(merged.requests, 2);
+    fn merge_sums_totals() {
+        let merged = ServeReport::merge(vec![served(&[100], 1), served(&[300, 200], 0)]);
+        assert_eq!(merged.requests, 3);
         assert_eq!(merged.warnings, 1);
-        assert_eq!(merged.queue_depth, 3);
-        assert_eq!(
-            merged.shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
-            vec![0, 1],
-            "shard rows are renumbered, not collapsed"
-        );
+        assert!((merged.warn_rate - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(merged.latency_ns.min(), 100.0);
         assert_eq!(merged.latency_ns.max(), 300.0);
-        assert_eq!(ServeReport::merge(Vec::new()).requests, 0);
+        assert!((merged.latency_ns.mean() - 200.0).abs() < 1e-9);
+        assert_eq!(merged.batch_sizes.count(), 2);
     }
 
     #[test]
     fn aggregate_sums_queue_depths() {
-        let mut a = ShardReport::empty(0);
-        a.queue_depth = 2;
-        let mut b = ShardReport::empty(1);
-        b.queue_depth = 5;
-        let report = ServeReport::aggregate(vec![a, b]);
+        let depth = |queue_depth| ServeReport {
+            queue_depth,
+            ..ServeReport::default()
+        };
+        let report = ServeReport::merge(vec![depth(2), depth(5)]);
         assert_eq!(report.queue_depth, 7);
         assert!(report.to_string().contains("7 queued"), "{report}");
     }
@@ -272,12 +161,9 @@ mod tests {
     /// skewed traffic the p99 bracket must sit far above the median.
     #[test]
     fn latency_percentiles_see_the_tail() {
-        let mut s = ShardReport::empty(0);
-        for _ in 0..99 {
-            s.record(100.0, false);
-        }
-        s.record(1_000_000.0, false);
-        let report = ServeReport::aggregate(vec![s]);
+        let mut latencies = vec![100; 99];
+        latencies.push(1_000_000);
+        let report = served(&latencies, 0);
         let (p50_lo, p50_hi) = report.latency_ns.quantile_bounds(0.5).unwrap();
         assert!(p50_lo <= 100 && 100 <= p50_hi);
         let (p999_lo, p999_hi) = report.latency_ns.quantile_bounds(0.999).unwrap();

@@ -222,14 +222,14 @@ pub enum Response {
 /// The stats payload: the engine's own report plus wire-level gauges.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatsSnapshot {
-    /// The sharded engine's aggregated metrics.
+    /// The engine's serving report (merged across active tenants on an
+    /// unrouted registry `Stats`).
     pub engine: ServeReport,
-    /// The engine's shard backlog at snapshot time, sampled from the
-    /// lock-free counters (`MonitorEngine::queue_depth`) — unlike
-    /// `engine.queue_depth`, this does not ride the job queues, so it is
-    /// the instantaneous figure an operator's scrape sees.
+    /// The engine's backlog at snapshot time: micro-batch chunks handed
+    /// to the pool and not yet served (`MonitorEngine::queue_depth`,
+    /// summed across active tenants on an unrouted registry `Stats`).
     pub engine_queue_depth: u64,
-    /// Requests the wire layer is serving right now.
+    /// Work requests admitted to the pool and not yet answered.
     pub wire_in_flight: u32,
     /// The server's in-flight budget.
     pub wire_budget: u32,
@@ -250,9 +250,9 @@ pub struct DegradedStats {
     /// Work requests answered `Busy` because the in-flight budget was
     /// exhausted (the request was fully read; the connection stays open).
     pub busy_budget: u64,
-    /// Work requests answered `Busy` because the engine's shard backlog
+    /// Work requests answered `Busy` because the backend pool's backlog
     /// stood above the queue watermark — shed *before* saturating the
-    /// engine, again without disconnecting.
+    /// pool, again without disconnecting.
     pub shed_watermark: u64,
     /// Connections refused at accept because the connection cap was
     /// reached (answered with one `Busy` frame, then closed).
@@ -270,6 +270,11 @@ pub struct DegradedStats {
     /// load, but they are counted here so a misconfigured fleet shows up
     /// on the same degradation dashboard.
     pub unknown_tenant: u64,
+    /// Work requests refused because an input (or the features its
+    /// forward pass produced) held a NaN or infinite value — a typed
+    /// `Monitor` error, never a verdict. Client errors like routing
+    /// misses, so not part of [`DegradedStats::busy_total`].
+    pub non_finite: u64,
 }
 
 impl DegradedStats {
@@ -586,9 +591,7 @@ mod tests {
             message: "dimension mismatch".to_string(),
         });
         round_trip_response(Response::Mounted);
-        round_trip_response(Response::Unmounted(Box::new(ServeReport::aggregate(
-            Vec::new(),
-        ))));
+        round_trip_response(Response::Unmounted(Box::default()));
         let shadow = ShadowReport {
             model_id: "model-a".to_string(),
             active_version: 1,
@@ -648,9 +651,10 @@ mod tests {
             evicted_idle: 2,
             evicted_stalled: 1,
             unknown_tenant: 4,
+            non_finite: 2,
         };
         let snapshot = StatsSnapshot {
-            engine: ServeReport::aggregate(Vec::new()),
+            engine: ServeReport::default(),
             engine_queue_depth: 1,
             wire_in_flight: 2,
             wire_budget: 16,

@@ -19,7 +19,8 @@ pub enum ErrorCode {
     /// The monitor rejected the input (dimension mismatch, not
     /// store-backed, store failure…).
     Monitor = 1,
-    /// A shard worker died; the request was not served.
+    /// The serving worker lost the request (the monitor panicked on it,
+    /// or the pool is shut down); it was not served.
     ShardDown = 2,
     /// The request payload did not decode.
     Malformed = 3,

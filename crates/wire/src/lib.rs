@@ -1,7 +1,7 @@
-//! Networked monitoring: the sharded engine behind a TCP boundary.
+//! Networked monitoring: the serving engine behind a TCP boundary.
 //!
 //! The paper's monitors run *in operation* beside a deployed DNN; after
-//! `napmon-serve` they run hot and sharded — but only inside the process
+//! `napmon-serve` they run hot on a worker pool — but only inside the process
 //! that mounted them. This crate is the network boundary that turns the
 //! library into a deployable service: a length-prefixed, versioned binary
 //! frame protocol (pure `std::net`, no async runtime) carrying the
@@ -16,17 +16,19 @@
 //! The server's I/O core is an event-driven reactor (see the
 //! [`reactor`]-module topology diagram): one thread owns every
 //! connection on nonblocking sockets, so an idle connection costs a
-//! buffer rather than an OS thread, and a small fixed worker pool
-//! serves the decoded frames. Construction goes through
-//! [`WireServer::builder`], which takes either backend.
+//! buffer rather than an OS thread, and each connection's decoded frames
+//! run as one job on the backend's worker pool — the engine's, or the
+//! registry's one pool for all tenants. The server spawns no workers of
+//! its own. Construction goes through [`WireServer::builder`], which
+//! takes either backend.
 //!
 //! ```text
 //! clients (any host)                      monitoring service
 //! ┌───────────────┐  framed TCP  ┌─────────────────────────────────┐
 //! │ WireClient    │ ───────────► │ WireServer                      │
-//! │  query_batch  │   NAPW v2    │  reactor + worker pool          │
-//! │  absorb_batch │ ◄─────────── │  global in-flight budget (Busy) │
-//! │  stats        │  [routed]    │  MonitorEngine: N shards        │
+//! │  query_batch  │   NAPW v2    │  reactor (admission: Busy)      │
+//! │  absorb_batch │ ◄─────────── │  jobs on the backend's pool:    │
+//! │  stats        │  [routed]    │  MonitorEngine (N workers)      │
 //! │  mount/promote│              │  — or MonitorRegistry: tenants  │
 //! └───────────────┘              └─────────────────────────────────┘
 //! ```

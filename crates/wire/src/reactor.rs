@@ -1,13 +1,13 @@
 //! The readiness-loop I/O core: one reactor thread owns every
-//! connection on nonblocking sockets, and a small fixed worker pool
+//! connection on nonblocking sockets, and the backend's worker pool
 //! serves the decoded frames.
 //!
 //! ```text
 //!                    ┌──────────────────────────────┐
 //!   accept ──────────▶          reactor             │
-//!   conn 0 ──▶ inbuf ─▶ frame state machine ─┐      │
-//!   conn 1 ──▶ inbuf ─▶ frame state machine ─┤ jobs │──▶ worker pool
-//!   conn N ──▶ inbuf ─▶ frame state machine ─┘      │    (serve_frame)
+//!   conn 0 ──▶ inbuf ─▶ frame state machine ─┐ admit│
+//!   conn 1 ──▶ inbuf ─▶ frame state machine ─┤ jobs │──▶ backend's pool
+//!   conn N ──▶ inbuf ─▶ frame state machine ─┘      │    (serve_job)
 //!          ◀── outbuf ◀── completions ◀── wake pipe ◀──── responses
 //!                    └──────────────────────────────┘
 //! ```
@@ -15,12 +15,13 @@
 //! The reactor never blocks on a peer: reads accumulate into a
 //! per-connection buffer that a frame-reassembly state machine consumes
 //! (incremental header, then payload), and writes drain a per-connection
-//! outbound queue with partial-write resumption. Decoded frames are
-//! dispatched to the worker pool **one batch per connection at a time**,
-//! which preserves the protocol's ordering contract: responses on a
-//! connection come back in the order its requests arrived. Workers post
-//! encoded responses to a completion queue and nudge the reactor through
-//! a wake pipe, so response latency is not quantized by the poll tick.
+//! outbound queue with partial-write resumption. Decoded frames run the
+//! admission ladder and are posted to the backend's pool **one job per
+//! connection at a time**, which preserves the protocol's ordering
+//! contract: responses on a connection come back in the order its
+//! requests arrived. Jobs post encoded responses to a completion queue
+//! and nudge the reactor through a wake pipe, so response latency is not
+//! quantized by the poll tick.
 //!
 //! Deadlines — idle eviction, the slow-loris frame deadline, write
 //! stalls, the error-path read-drain, and the shutdown drain grace — all
@@ -32,7 +33,7 @@ use crate::codec::Response;
 use crate::error::WireError;
 use crate::frame::{Frame, FrameHeader, Opcode, HEADER_LEN, MAGIC};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::server::{Shared, WireConfig};
+use crate::server::{serve_job, Shared, Slot, WireConfig};
 use napmon_obs::SpanKind;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -40,7 +41,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -59,7 +59,7 @@ const MAX_READS_PER_TICK: usize = 8;
 /// instead of being torn down by a reset.
 const ERROR_DRAIN_LINGER: Duration = Duration::from_secs(1);
 
-/// One frame's worth of work travelling to the worker pool.
+/// One frame's worth of work travelling to the backend's worker pool.
 pub(crate) enum JobKind {
     /// A well-formed frame to serve against the backend.
     Serve(Frame),
@@ -79,17 +79,26 @@ pub(crate) struct JobItem {
     /// Obs clock at header completion — the start of the end-to-end
     /// latency measurement.
     pub(crate) decode_started: u64,
+    /// The `Busy` answer the admission ladder shed this work request
+    /// with at dispatch, if it did.
+    pub(crate) shed: Option<Response>,
 }
 
 /// A batch of consecutive frames from one connection. At most one job
-/// per connection is ever in flight, so workers may serve items serially
-/// and concatenate the replies.
+/// per connection is ever in flight, so a job serves its items serially
+/// and concatenates the replies.
 pub(crate) struct Job {
     pub(crate) conn: u64,
     pub(crate) items: Vec<JobItem>,
+    /// The in-flight slot the job holds, if it carries admitted work
+    /// (see `Shared::admit`).
+    pub(crate) slot: Option<Slot>,
+    /// Obs clock when the reactor handed the job to the pool — the start
+    /// of each item's queue-wait span.
+    pub(crate) enqueued_ns: u64,
 }
 
-/// What a worker hands back: the encoded reply bytes for the job's
+/// What a connection job hands back: the encoded reply bytes for its
 /// items, in order.
 pub(crate) struct Completion {
     pub(crate) conn: u64,
@@ -101,8 +110,8 @@ pub(crate) struct Completion {
     pub(crate) initiated_shutdown: bool,
 }
 
-/// The worker → reactor return path: a locked queue plus a wake pipe so
-/// a completion interrupts the reactor's poll instead of waiting out the
+/// The pool → reactor return path: a locked queue plus a wake pipe so a
+/// completion interrupts the reactor's poll instead of waiting out the
 /// tick.
 pub(crate) struct CompletionQueue {
     items: Mutex<Vec<Completion>>,
@@ -250,7 +259,7 @@ struct Conn {
     /// flushed prefix).
     outbuf: Vec<u8>,
     outpos: usize,
-    /// A job for this connection is at the workers.
+    /// A job for this connection is on the pool.
     inflight: bool,
     /// Parsed frames waiting for the in-flight job to return.
     pending: Vec<JobItem>,
@@ -369,8 +378,6 @@ enum Io {
 pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
-    jobs: Sender<Job>,
-    completions: Arc<CompletionQueue>,
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_id: u64,
@@ -382,20 +389,12 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub(crate) fn new(
-        listener: TcpListener,
-        shared: Arc<Shared>,
-        jobs: Sender<Job>,
-        completions: Arc<CompletionQueue>,
-        wake_rx: UnixStream,
-    ) -> Self {
+    pub(crate) fn new(listener: TcpListener, shared: Arc<Shared>, wake_rx: UnixStream) -> Self {
         let now = Instant::now();
         let tick = shared.config.poll_tick;
         Self {
             listener: Some(listener),
             shared,
-            jobs,
-            completions,
             wake_rx,
             conns: HashMap::new(),
             next_id: 0,
@@ -406,8 +405,7 @@ impl Reactor {
     }
 
     /// The event loop. Returns once a shutdown has been observed and
-    /// every connection is gone; dropping `self` then hangs up the job
-    /// channel, which is the workers' exit signal.
+    /// every connection is gone.
     pub(crate) fn run(mut self) {
         let tick = self.shared.config.poll_tick;
         let mut fds: Vec<PollFd> = Vec::new();
@@ -464,7 +462,7 @@ impl Reactor {
                     }
                 }
             }
-            self.completions.drain_into(&mut completions);
+            self.shared.completions.drain_into(&mut completions);
             for completion in completions.drain(..) {
                 self.on_completion(completion, now);
             }
@@ -736,6 +734,7 @@ impl Reactor {
                         trace_id,
                         echo_trace,
                         decode_started: conn.decode_started,
+                        shed: None,
                         kind: JobKind::Serve(frame),
                     }
                 }
@@ -753,6 +752,7 @@ impl Reactor {
                     trace_id: 0,
                     echo_trace: None,
                     decode_started: conn.decode_started,
+                    shed: None,
                 },
             };
             conn.pending.push(item);
@@ -761,12 +761,26 @@ impl Reactor {
 
         if let Some(conn) = self.conns.get_mut(&id) {
             if !conn.inflight && !conn.pending.is_empty() {
-                let items = std::mem::take(&mut conn.pending);
+                let mut items = std::mem::take(&mut conn.pending);
+                let slot = self.shared.admit(&mut items);
                 conn.inflight = true;
                 conn.last_activity = now;
                 self.progressed = true;
-                if self.jobs.send(Job { conn: id, items }).is_err() {
-                    // Workers are gone; only reachable mid-teardown.
+                let job = Job {
+                    conn: id,
+                    items,
+                    slot,
+                    enqueued_ns: napmon_obs::now_ns(),
+                };
+                let shared = Arc::clone(&self.shared);
+                if self
+                    .shared
+                    .backend
+                    .pool()
+                    .execute(move || serve_job(&shared, job))
+                    .is_err()
+                {
+                    // The pool is shut down; only reachable mid-teardown.
                     self.close(id);
                     return;
                 }

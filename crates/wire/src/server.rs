@@ -1,18 +1,21 @@
-//! The serving side: a TCP listener over a sharded [`MonitorEngine`] or a
+//! The serving side: a TCP listener over a [`MonitorEngine`] or a
 //! multi-tenant [`MonitorRegistry`].
 //!
-//! **One reactor, a fixed worker pool.** A single reactor thread owns
-//! every connection on nonblocking sockets (see the [`crate::reactor`]
-//! module for the event-loop topology): it accepts, runs each peer's
-//! frame-reassembly state machine, and drains each peer's outbound write
-//! queue. Decoded frames are dispatched to a small fixed pool of worker
-//! threads that run the backend — so an idle connection costs a buffer,
-//! not an OS thread, and thread count is O(1) in the connection count.
-//! At most one job per connection is in flight at a time, so requests on
-//! one connection are served in arrival order and a pipelining client
-//! reads responses in the order it wrote requests; concurrency comes
-//! from connections, parallelism from the worker pool and the engine's
-//! shards.
+//! **One reactor, the backend's worker pool.** A single reactor thread
+//! owns every connection on nonblocking sockets (see the
+//! [`crate::reactor`] module for the event-loop topology): it accepts,
+//! runs each peer's frame-reassembly state machine, and drains each
+//! peer's outbound write queue. Decoded frames run as one job per
+//! connection on the backend's [`WorkerPool`] — the engine's own, or the
+//! registry's one pool for every tenant — and each job serves its frames
+//! on the worker that took it (idle workers claim chunks of a large
+//! batch). The server spawns no worker
+//! threads, so an idle connection costs a buffer, not an OS thread, and
+//! thread count is O(1) in the connection and tenant counts. At most one
+//! job per connection is in flight at a time, so requests on one
+//! connection are served in arrival order and a pipelining client reads
+//! responses in the order it wrote requests; concurrency comes from
+//! connections, parallelism from the pool.
 //!
 //! **Two backends, one wire, one front door.** [`WireServer::builder`]
 //! takes a typed [`Backend`] — [`Backend::Engine`] serves a single
@@ -28,28 +31,28 @@
 //! saturated.
 //!
 //! **Backpressure is a typed response, not dropped bytes.** A global
-//! in-flight budget bounds the work admitted across all connections;
-//! a request over budget is answered with a `Busy` frame carrying the
-//! budget figures, and the bytes already read stay framed — the
+//! in-flight budget bounds the connection jobs with work admitted to the
+//! pool; a request over budget is answered with a `Busy` frame carrying
+//! the budget figures, and the bytes already read stay framed — the
 //! connection remains usable.
 //!
 //! **Shutdown drains.** A `Shutdown` request (or [`WireServer::shutdown`])
 //! stops accepting and lets every connection finish the frames it has
 //! started — in-flight requests are served, responses written, bounded
 //! by [`WireConfig::drain_grace`] — before the backend itself drains and
-//! reports final metrics. On a registry backend the reactor and workers
-//! are joined *first*, then [`MonitorRegistry::shutdown`] runs — which
-//! also joins the background drainers of engines retired by earlier
-//! hot-swaps, so a shutdown that lands mid-swap cannot leak the outgoing
-//! engine's worker threads. A client that disconnects mid-request costs
-//! nothing: its work completes in the engine and the unsendable reply is
-//! dropped.
+//! reports final metrics. On a registry backend the reactor is joined and
+//! the connection jobs still on the pool are waited out *first*, then
+//! [`MonitorRegistry::shutdown`] runs — which also settles the engines
+//! retired by earlier hot-swaps and stops the pool, so a shutdown that
+//! lands mid-swap cannot leak a thread. A client that disconnects
+//! mid-request costs nothing: its work completes in the engine and the
+//! unsendable reply is dropped.
 //!
 //! **Degradation is graceful and accounted.** Under pressure the server
 //! walks a fixed shedding ladder rather than falling over: connections
 //! over the cap are refused at accept time with one `Busy` frame through
 //! the nonblocking write path; fully-read requests are shed with `Busy`
-//! when the backend's backlog crosses the queue watermark or the
+//! when the backend pool's backlog crosses the queue watermark or the
 //! in-flight budget is exhausted (never mid-frame — a shed request
 //! leaves the connection framed and usable); and peers that stall — idle
 //! between frames past [`WireConfig::idle_timeout`], or mid-frame past
@@ -61,17 +64,16 @@
 use crate::codec::{DegradedStats, Request, Response, StatsSnapshot};
 use crate::error::{registry_error_code, serve_error_code, ErrorCode, WireError};
 use crate::frame::{Frame, Opcode, TenantRoute, ACTIVE_VERSION, DEFAULT_MAX_PAYLOAD};
-use crate::reactor::{Completion, CompletionQueue, Job, JobKind, Reactor};
+use crate::reactor::{Completion, CompletionQueue, Job, JobItem, JobKind, Reactor};
 use napmon_artifact::{ArtifactError, MonitorArtifact};
-use napmon_core::ComposedMonitor;
+use napmon_core::{ComposedMonitor, MonitorError};
 use napmon_obs::{Counter, LatencyHistogram, MetricsRegistry, ObsReport, SlowLog, SpanKind};
 use napmon_registry::{MonitorRegistry, RegistryError, RegistryReport};
-use napmon_serve::{EngineConfig, MonitorEngine, ServeReport};
+use napmon_serve::{EngineConfig, MonitorEngine, ServeError, ServeReport, WorkerPool};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -112,12 +114,12 @@ pub struct WireConfig {
     /// draining its responses is evicted rather than growing the write
     /// queue without bound.
     pub frame_deadline: Duration,
-    /// Backend backlog level (in queued micro-batch jobs, the unit of
-    /// `MonitorEngine::queue_depth`; summed across tenants on a registry
-    /// backend) above which fully-read work requests are shed with `Busy`
-    /// instead of queued. Shedding at the wire keeps the engine below
-    /// saturation, so already-admitted work keeps its latency. Zero
-    /// disables watermark shedding.
+    /// Backend pool backlog (jobs queued on the backend's worker pool and
+    /// not yet picked up: connection jobs, plus the helper jobs through
+    /// which idle workers claim chunks of a batch) above which fully-read
+    /// work requests are shed with `Busy` instead of queued. Shedding at
+    /// the wire keeps the pool below saturation, so already-admitted work
+    /// keeps its latency. Zero disables watermark shedding.
     pub queue_watermark: usize,
     /// Requests taking longer than this end-to-end (frame read through
     /// response write) are recorded in the slow-request log scraped by
@@ -139,12 +141,6 @@ pub struct WireConfig {
     /// Cap on accepts processed per reactor tick, bounding how long one
     /// accept storm can monopolize the loop.
     pub max_events_per_tick: usize,
-    /// Worker threads serving decoded frames against the backend. Zero
-    /// (the default) sizes the pool from the machine's available
-    /// parallelism, clamped to [2, 8] — at least two, so admission races
-    /// (`Busy` under a small `max_in_flight`) stay observable even on
-    /// one core.
-    pub dispatch_threads: usize,
 }
 
 impl Default for WireConfig {
@@ -162,7 +158,6 @@ impl Default for WireConfig {
             poll_tick: Duration::from_millis(5),
             write_high_water: 1 << 20,
             max_events_per_tick: 1024,
-            dispatch_threads: 0,
         }
     }
 }
@@ -243,9 +238,13 @@ impl WireConfig {
         self
     }
 
-    /// Sets the worker-pool size (0 = auto from available parallelism).
-    pub fn with_dispatch_threads(mut self, dispatch_threads: usize) -> Self {
-        self.dispatch_threads = dispatch_threads;
+    /// Formerly sized the wire server's own worker threads. Frames now run
+    /// on the backend's worker pool (sized by `EngineConfig::shards`), so
+    /// this does nothing.
+    #[deprecated(
+        note = "frames run on the backend's worker pool; size it with EngineConfig::shards"
+    )]
+    pub fn with_dispatch_threads(self, _dispatch_threads: usize) -> Self {
         self
     }
 
@@ -266,16 +265,6 @@ impl WireConfig {
             ..self
         }
     }
-
-    pub(crate) fn resolved_dispatch_threads(&self) -> usize {
-        if self.dispatch_threads > 0 {
-            return self.dispatch_threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
-    }
 }
 
 /// The [`DegradedStats`] ledger, registered in the server's metrics
@@ -288,6 +277,7 @@ pub(crate) struct DegradedCounters {
     pub(crate) evicted_idle: Counter,
     pub(crate) evicted_stalled: Counter,
     pub(crate) unknown_tenant: Counter,
+    pub(crate) non_finite: Counter,
 }
 
 impl DegradedCounters {
@@ -299,6 +289,7 @@ impl DegradedCounters {
             evicted_idle: registry.counter("wire.degraded.evicted_idle"),
             evicted_stalled: registry.counter("wire.degraded.evicted_stalled"),
             unknown_tenant: registry.counter("wire.degraded.unknown_tenant"),
+            non_finite: registry.counter("wire.degraded.non_finite"),
         }
     }
 
@@ -310,61 +301,30 @@ impl DegradedCounters {
             evicted_idle: self.evicted_idle.get(),
             evicted_stalled: self.evicted_stalled.get(),
             unknown_tenant: self.unknown_tenant.get(),
+            non_finite: self.non_finite.get(),
         }
     }
 }
 
-/// Per-request-opcode counters (`wire.requests.*`), resolved once at
+/// Per-request-opcode counters (`wire.requests.*`), indexed by opcode
+/// byte (the requests are `0x01..=0x0B`) and resolved once at
 /// construction so the hot path never touches the registry's lock.
-struct OpcodeCounters {
-    query: Counter,
-    query_batch: Counter,
-    absorb: Counter,
-    stats: Counter,
-    shutdown: Counter,
-    mount: Counter,
-    unmount: Counter,
-    promote: Counter,
-    list_tenants: Counter,
-    shadow_stats: Counter,
-    metrics: Counter,
-}
+struct OpcodeCounters(Vec<Counter>);
 
 impl OpcodeCounters {
     fn new(registry: &MetricsRegistry) -> Self {
-        let named = |op: Opcode| registry.counter(&format!("wire.requests.{}", op.name()));
-        Self {
-            query: named(Opcode::Query),
-            query_batch: named(Opcode::QueryBatch),
-            absorb: named(Opcode::Absorb),
-            stats: named(Opcode::Stats),
-            shutdown: named(Opcode::Shutdown),
-            mount: named(Opcode::Mount),
-            unmount: named(Opcode::Unmount),
-            promote: named(Opcode::Promote),
-            list_tenants: named(Opcode::ListTenants),
-            shadow_stats: named(Opcode::ShadowStats),
-            metrics: named(Opcode::Metrics),
-        }
+        Self(
+            (1..=Opcode::Metrics as u8)
+                .map(|byte| Opcode::from_wire(byte).expect("request opcodes are contiguous"))
+                .map(|op| registry.counter(&format!("wire.requests.{}", op.name())))
+                .collect(),
+        )
     }
 
     /// The counter for a request opcode; `None` for response opcodes
     /// (which never arrive at a server as requests worth counting).
     fn get(&self, opcode: Opcode) -> Option<&Counter> {
-        Some(match opcode {
-            Opcode::Query => &self.query,
-            Opcode::QueryBatch => &self.query_batch,
-            Opcode::Absorb => &self.absorb,
-            Opcode::Stats => &self.stats,
-            Opcode::Shutdown => &self.shutdown,
-            Opcode::Mount => &self.mount,
-            Opcode::Unmount => &self.unmount,
-            Opcode::Promote => &self.promote,
-            Opcode::ListTenants => &self.list_tenants,
-            Opcode::ShadowStats => &self.shadow_stats,
-            Opcode::Metrics => &self.metrics,
-            _ => return None,
-        })
+        opcode.is_request().then(|| &self.0[opcode as usize - 1])
     }
 }
 
@@ -407,13 +367,12 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The backend's total shard backlog, the watermark gate's gauge.
-    pub(crate) fn backlog(&self) -> usize {
+    /// The worker pool the backend serves on — where the reactor runs
+    /// every connection job.
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         match self {
-            Backend::Engine(engine) => engine.queue_depth(),
-            Backend::Registry(registry) => {
-                registry.list().iter().map(|t| t.queue_depth as usize).sum()
-            }
+            Backend::Engine(engine) => engine.pool(),
+            Backend::Registry(registry) => registry.pool(),
         }
     }
 }
@@ -442,14 +401,18 @@ impl From<MonitorRegistry> for Backend {
     }
 }
 
-/// State shared by the reactor and every worker thread.
+/// State shared by the reactor and every connection job.
 pub(crate) struct Shared {
     pub(crate) backend: Backend,
     pub(crate) config: WireConfig,
     pub(crate) shutting_down: AtomicBool,
+    /// Connection jobs carrying work that are on the pool (queued or
+    /// running) — each serves one request at a time.
     in_flight: AtomicUsize,
     pub(crate) degraded: DegradedCounters,
     pub(crate) obs: ServerObs,
+    /// Where connection jobs post their encoded replies for the reactor.
+    pub(crate) completions: Arc<CompletionQueue>,
 }
 
 impl Shared {
@@ -457,24 +420,53 @@ impl Shared {
         self.shutting_down.load(Ordering::Acquire)
     }
 
-    /// Admits one work request against the in-flight budget. The guard
-    /// releases the slot on drop.
+    /// Runs the admission ladder on a connection job's fully-read frames
+    /// as the reactor hands them to the pool (never mid-frame, so a shed
+    /// leaves the stream framed and usable). Returns the in-flight slot
+    /// the job took, if it took one; the job holds it until it is done.
     ///
-    /// The budget is counted in wire requests only — the engine's shard
-    /// backlog is measured in micro-batch *jobs*, a different unit, and
-    /// every queued job already belongs to a request holding a slot here,
-    /// so gating on it again would refuse legal traffic. Saturation of
-    /// the backlog itself is the queue watermark's job (see
-    /// [`with_admission`]).
-    fn try_admit(&self) -> Result<InFlightGuard<'_>, (u32, u32)> {
-        let budget = self.config.max_in_flight;
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= budget {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.degraded.busy_budget.inc();
-            return Err((prev as u32, budget as u32));
+    /// Only work requests (`Query`, `QueryBatch`, `Absorb`) are gated;
+    /// control-plane frames always pass. Two gates: the backend pool's
+    /// backlog against the queue watermark — shedding at the wire before
+    /// the pool saturates, so work already queued keeps its latency —
+    /// then the in-flight budget, one slot per job, since a job serves
+    /// its frames one at a time. A refused job's work requests are each
+    /// answered `Busy` (and counted); the rest of the job is served.
+    pub(crate) fn admit(self: &Arc<Self>, items: &mut [JobItem]) -> Option<Slot> {
+        let is_work = |item: &JobItem| {
+            matches!(&item.kind, JobKind::Serve(frame)
+                if matches!(frame.opcode, Opcode::Query | Opcode::QueryBatch | Opcode::Absorb))
+        };
+        let work = items.iter().filter(|item| is_work(item)).count() as u64;
+        if work == 0 {
+            return None;
         }
-        Ok(InFlightGuard { shared: self })
+        let clamp = |n: usize| n.min(u32::MAX as usize) as u32;
+        let watermark = self.config.queue_watermark;
+        let backlog = self.backend.pool().queued();
+        let busy = if watermark > 0 && backlog > watermark {
+            self.degraded.shed_watermark.add(work);
+            Response::Busy {
+                in_flight: clamp(backlog),
+                budget: clamp(watermark),
+            }
+        } else {
+            let budget = self.config.max_in_flight;
+            let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
+            if prev < budget {
+                return Some(Slot(Arc::clone(self)));
+            }
+            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            self.degraded.busy_budget.add(work);
+            Response::Busy {
+                in_flight: clamp(prev),
+                budget: clamp(budget),
+            }
+        };
+        for item in items.iter_mut().filter(|item| is_work(item)) {
+            item.shed = Some(busy.clone());
+        }
+        None
     }
 
     /// Counts a routing miss and builds its typed error response.
@@ -487,13 +479,13 @@ impl Shared {
     }
 }
 
-struct InFlightGuard<'a> {
-    shared: &'a Shared,
-}
+/// A job's in-flight slot, returned on drop — whether the job ran,
+/// unwound, or was dropped unrun by a shut-down pool.
+pub(crate) struct Slot(Arc<Shared>);
 
-impl Drop for InFlightGuard<'_> {
+impl Drop for Slot {
     fn drop(&mut self) {
-        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -545,7 +537,6 @@ pub struct WireServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl WireServer {
@@ -569,6 +560,7 @@ impl WireServer {
         listener.set_nonblocking(true)?;
         let config = config.normalized();
         let obs = ServerObs::new(&config);
+        let (completions, wake_rx) = CompletionQueue::new()?;
         let shared = Arc::new(Shared {
             backend,
             config,
@@ -576,22 +568,9 @@ impl WireServer {
             in_flight: AtomicUsize::new(0),
             degraded: DegradedCounters::new(&obs.registry),
             obs,
+            completions,
         });
-        let (jobs_tx, jobs_rx) = std::sync::mpsc::channel::<Job>();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let (completions, wake_rx) = CompletionQueue::new()?;
-        let mut workers = Vec::with_capacity(config.resolved_dispatch_threads());
-        for i in 0..config.resolved_dispatch_threads() {
-            let shared = Arc::clone(&shared);
-            let jobs_rx = Arc::clone(&jobs_rx);
-            let completions = Arc::clone(&completions);
-            let handle = std::thread::Builder::new()
-                .name(format!("napmon-wire-w{i}"))
-                .spawn(move || worker_loop(&shared, &jobs_rx, &completions))
-                .expect("spawn wire worker");
-            workers.push(handle);
-        }
-        let reactor = Reactor::new(listener, Arc::clone(&shared), jobs_tx, completions, wake_rx);
+        let reactor = Reactor::new(listener, Arc::clone(&shared), wake_rx);
         let reactor = std::thread::Builder::new()
             .name("napmon-wire-reactor".to_string())
             .spawn(move || reactor.run())
@@ -600,7 +579,6 @@ impl WireServer {
             addr,
             shared,
             reactor: Some(reactor),
-            workers,
         })
     }
 
@@ -697,35 +675,35 @@ impl WireServer {
     }
 
     /// The one drain path: joins the reactor (which exits once every
-    /// connection has finished or spent its grace), then the worker pool
-    /// (the reactor dropping its job channel is their exit signal), and
-    /// only then tears the backend down. The ordering is the thread-leak
-    /// guarantee for shutdown-during-hot-swap: once the workers are
-    /// joined no dispatcher can still be submitting into an outgoing
-    /// engine, and [`MonitorRegistry::shutdown`] joins the background
-    /// drainers of every retired engine before returning.
+    /// connection has finished or spent its grace), waits for connection
+    /// jobs still on the pool (bounded by the drain grace), and only then
+    /// tears the backend down. The ordering is the thread-leak guarantee
+    /// for shutdown-during-hot-swap: once no connection job is left, no
+    /// dispatcher can still be submitting into an outgoing engine, and
+    /// [`MonitorRegistry::shutdown`] settles every retired engine and
+    /// stops the pool before returning.
     fn drain(mut self) -> BackendReport {
         self.shared.shutting_down.store(true, Ordering::Release);
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // Connection jobs hold the shared state while they run. Once they
+        // are done this owner holds the last handle at both levels; past
+        // the grace the fallbacks snapshot rather than hang in a shutdown
+        // path. The registry arm needs no unwrap:
+        // `MonitorRegistry::shutdown` takes `&self` and is idempotent, so
+        // caller-held clones are fine.
+        let deadline = std::time::Instant::now() + self.shared.config.drain_grace;
+        while Arc::strong_count(&self.shared) > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(self.shared.config.poll_interval);
         }
-        // Every serving thread has been joined, so this owner holds the
-        // last handle at both levels and neither unwrap can fail; the
-        // fallbacks snapshot rather than panic in a shutdown path. The
-        // registry arm needs no unwrap: `MonitorRegistry::shutdown` takes
-        // `&self` and is idempotent, so caller-held clones are fine.
         let WireServer { shared, .. } = self;
         match Arc::try_unwrap(shared) {
             Ok(shared) => match shared.backend {
-                Backend::Engine(engine) => {
-                    BackendReport::Single(match MonitorEngine::shutdown_shared(engine) {
-                        Ok(report) => report,
-                        Err(engine) => engine.report(),
-                    })
-                }
+                Backend::Engine(engine) => BackendReport::Single(match Arc::try_unwrap(engine) {
+                    Ok(engine) => engine.shutdown(),
+                    Err(engine) => engine.report(),
+                }),
                 Backend::Registry(registry) => BackendReport::Registry(registry.shutdown()),
             },
             Err(shared) => match &shared.backend {
@@ -742,92 +720,92 @@ enum BackendReport {
     Registry(RegistryReport),
 }
 
-/// One worker: picks up per-connection job batches, serves each frame
-/// against the backend (admission ladder included), encodes the replies
-/// in order, and posts the bytes back to the reactor. Exits when the
-/// reactor hangs up the job channel.
-fn worker_loop(
-    shared: &Arc<Shared>,
-    jobs: &Arc<Mutex<Receiver<Job>>>,
-    completions: &Arc<CompletionQueue>,
-) {
-    loop {
-        // Holding the lock across `recv` serializes job *pickup* only;
-        // execution below runs with the lock released.
-        let job = match jobs.lock() {
-            Ok(receiver) => receiver.recv(),
-            Err(_) => return,
+/// One connection job, run on the backend's pool: serves each frame
+/// against the backend in order, encodes the replies, and posts the bytes
+/// back to the reactor.
+pub(crate) fn serve_job(shared: &Shared, job: Job) {
+    let picked_up = napmon_obs::now_ns();
+    let frames = job.items.len() as u64;
+    let mut bytes = Vec::new();
+    let mut close = false;
+    let mut initiated_shutdown = false;
+    for item in job.items {
+        if item.trace_id != 0 && napmon_obs::tracing_enabled() {
+            napmon_obs::record_span(
+                item.trace_id,
+                SpanKind::QueueWait,
+                job.enqueued_ns,
+                picked_up.saturating_sub(job.enqueued_ns),
+                frames,
+            );
+        }
+        let (response, wants_shutdown) = match item.kind {
+            JobKind::Serve(ref frame) => serve_frame(frame, shared, item.trace_id, item.shed),
+            JobKind::Reject(response) => (response, false),
         };
-        let Ok(job) = job else {
-            return;
-        };
-        let mut bytes = Vec::new();
-        let mut close = false;
-        let mut initiated_shutdown = false;
-        for item in job.items {
-            let (response, wants_shutdown) = match item.kind {
-                JobKind::Serve(ref frame) => serve_frame(frame, shared, item.trace_id),
-                JobKind::Reject(response) => (response, false),
-            };
-            let respond_started = napmon_obs::now_ns();
-            let response_opcode = response.opcode();
-            match response
-                .into_frame(item.request_id)
-                .map(|f| f.traced(item.echo_trace))
-                .and_then(|f| f.encode())
-            {
-                Ok(reply) => {
-                    bytes.extend_from_slice(&reply);
-                    let finished = napmon_obs::now_ns();
-                    let total_ns = finished.saturating_sub(item.decode_started);
-                    shared.obs.request_ns.record(total_ns);
-                    if let Some(trace_id) = item.echo_trace {
-                        if napmon_obs::tracing_enabled() {
-                            napmon_obs::record_span(
-                                trace_id,
-                                SpanKind::WireRespond,
-                                respond_started,
-                                finished.saturating_sub(respond_started),
-                                response_opcode as u8 as u64,
-                            );
-                        }
+        let respond_started = napmon_obs::now_ns();
+        let response_opcode = response.opcode();
+        match response
+            .into_frame(item.request_id)
+            .map(|f| f.traced(item.echo_trace))
+            .and_then(|f| f.encode())
+        {
+            Ok(reply) => {
+                bytes.extend_from_slice(&reply);
+                let finished = napmon_obs::now_ns();
+                let total_ns = finished.saturating_sub(item.decode_started);
+                shared.obs.request_ns.record(total_ns);
+                if let Some(trace_id) = item.echo_trace {
+                    if napmon_obs::tracing_enabled() {
+                        napmon_obs::record_span(
+                            trace_id,
+                            SpanKind::WireRespond,
+                            respond_started,
+                            finished.saturating_sub(respond_started),
+                            response_opcode as u8 as u64,
+                        );
                     }
-                    // Untraced requests log under trace id 0 — the slow
-                    // log works with tracing off, it just cannot name
-                    // the trace.
-                    shared.obs.slow.observe(
-                        item.echo_trace.unwrap_or(0),
-                        item.opcode.name(),
-                        total_ns,
-                    );
                 }
-                Err(_) => {
-                    close = true;
-                }
+                // Untraced requests log under trace id 0 — the slow log
+                // works with tracing off, it just cannot name the trace.
+                shared
+                    .obs
+                    .slow
+                    .observe(item.echo_trace.unwrap_or(0), item.opcode.name(), total_ns);
             }
-            if wants_shutdown {
-                initiated_shutdown = true;
+            Err(_) => {
                 close = true;
             }
-            // Frames pipelined behind a shutdown (or an unencodable
-            // reply) go unserved — the connection is closing.
-            if close {
-                break;
-            }
         }
-        completions.post(Completion {
-            conn: job.conn,
-            bytes,
-            close,
-            initiated_shutdown,
-        });
+        if wants_shutdown {
+            initiated_shutdown = true;
+            close = true;
+        }
+        // Frames pipelined behind a shutdown (or an unencodable reply) go
+        // unserved — the connection is closing.
+        if close {
+            break;
+        }
     }
+    // The slot goes back before the reply can prompt the connection's
+    // next job.
+    drop(job.slot);
+    shared.completions.post(Completion {
+        conn: job.conn,
+        bytes,
+        close,
+        initiated_shutdown,
+    });
 }
 
 /// Serves one decoded frame; the bool reports whether it asked for
-/// shutdown. `trace_id` (0 = untraced) flows into the engine's traced
-/// submission paths so shard-side spans join the request's chain.
-fn serve_frame(frame: &Frame, shared: &Arc<Shared>, trace_id: u64) -> (Response, bool) {
+/// shutdown. `trace_id` (0 = untraced) names the request's spans.
+fn serve_frame(
+    frame: &Frame,
+    shared: &Shared,
+    trace_id: u64,
+    shed: Option<Response>,
+) -> (Response, bool) {
     let request = match Request::decode(frame) {
         Ok(request) => request,
         Err(e) => {
@@ -843,14 +821,40 @@ fn serve_frame(frame: &Frame, shared: &Arc<Shared>, trace_id: u64) -> (Response,
     if let Some(counter) = shared.obs.ops.get(frame.opcode) {
         counter.inc();
     }
-    match &shared.backend {
+    let inputs = match &request {
+        Request::Query(_) => 1,
+        Request::QueryBatch(inputs) => inputs.len() as u64,
+        _ => 0,
+    };
+    let started = napmon_obs::now_ns();
+    let served = match &shared.backend {
         Backend::Engine(engine) => {
-            serve_single(engine, frame.route.as_ref(), request, shared, trace_id)
+            serve_single(engine, frame.route.as_ref(), request, shared, shed)
         }
         Backend::Registry(registry) => {
-            serve_registry(registry, frame.route.as_ref(), request, shared)
+            serve_registry(registry, frame.route.as_ref(), request, shared, shed)
         }
+    };
+    // The verdict span covers the backend call that produced verdicts.
+    if trace_id != 0
+        && napmon_obs::tracing_enabled()
+        && matches!(served.0, Response::Verdict(_) | Response::Verdicts(_))
+    {
+        napmon_obs::record_span(
+            trace_id,
+            SpanKind::Verdict,
+            started,
+            napmon_obs::now_ns().saturating_sub(started),
+            inputs,
+        );
     }
+    served
+}
+
+/// Runs an admitted work request, or answers the `Busy` the reactor shed
+/// it with.
+fn admitted(shed: Option<Response>, work: impl FnOnce() -> Response) -> (Response, bool) {
+    (shed.unwrap_or_else(work), false)
 }
 
 /// Single-engine dispatch. Tenant routes have no meaning here: a routed
@@ -861,8 +865,8 @@ fn serve_single(
     engine: &Arc<MonitorEngine<ComposedMonitor>>,
     route: Option<&TenantRoute>,
     request: Request,
-    shared: &Arc<Shared>,
-    trace_id: u64,
+    shared: &Shared,
+    shed: Option<Response>,
 ) -> (Response, bool) {
     if let Some(route) = route {
         return (
@@ -874,28 +878,25 @@ fn serve_single(
         );
     }
     match request {
-        Request::Query(input) => with_admission(shared, || {
+        Request::Query(input) => admitted(shed, || {
             engine
-                .submit_traced(input, trace_id)
+                .submit(input)
                 .map(Response::Verdict)
-                .unwrap_or_else(|e| serve_error_response(&e))
+                .unwrap_or_else(|e| serve_error_response(shared, &e))
         }),
-        Request::QueryBatch(inputs) => with_admission(shared, || {
+        Request::QueryBatch(inputs) => admitted(shed, || {
             engine
-                .submit_batch_traced(inputs, trace_id)
+                .submit_batch(inputs)
                 .map(Response::Verdicts)
-                .unwrap_or_else(|e| serve_error_response(&e))
+                .unwrap_or_else(|e| serve_error_response(shared, &e))
         }),
-        Request::Absorb(inputs) => with_admission(shared, || {
+        Request::Absorb(inputs) => admitted(shed, || {
             engine
                 .absorb_batch(&inputs)
                 .map(|fresh| Response::Absorbed(fresh as u64))
-                .unwrap_or_else(|e| serve_error_response(&e))
+                .unwrap_or_else(|e| serve_error_response(shared, &e))
         }),
-        Request::Stats => (
-            stats_response(engine.report(), engine.queue_depth(), shared),
-            false,
-        ),
+        Request::Stats => (stats_response(engine.report(), shared), false),
         Request::Shutdown => (Response::ShuttingDown, true),
         Request::Metrics => (metrics_response(shared), false),
         Request::Mount { .. }
@@ -923,7 +924,8 @@ fn serve_registry(
     registry: &Arc<MonitorRegistry>,
     route: Option<&TenantRoute>,
     request: Request,
-    shared: &Arc<Shared>,
+    shared: &Shared,
+    shed: Option<Response>,
 ) -> (Response, bool) {
     let require_route = |what: &str| -> Result<TenantRoute, Response> {
         route.cloned().ok_or_else(|| {
@@ -939,7 +941,7 @@ fn serve_registry(
                 Ok(route) => route,
                 Err(response) => return (response, false),
             };
-            with_admission(shared, || {
+            admitted(shed, || {
                 let served = if route.version == ACTIVE_VERSION {
                     registry.query(&route.model_id, input)
                 } else {
@@ -961,7 +963,7 @@ fn serve_registry(
                 Ok(route) => route,
                 Err(response) => return (response, false),
             };
-            with_admission(shared, || {
+            admitted(shed, || {
                 let served = if route.version == ACTIVE_VERSION {
                     registry.query_batch(&route.model_id, inputs)
                 } else {
@@ -977,7 +979,7 @@ fn serve_registry(
                 Ok(route) => route,
                 Err(response) => return (response, false),
             };
-            with_admission(shared, || {
+            admitted(shed, || {
                 let absorbed = if route.version == ACTIVE_VERSION {
                     registry.absorb_batch(&route.model_id, inputs)
                 } else {
@@ -998,20 +1000,10 @@ fn serve_registry(
             // A routed Stats reports one mount; unrouted merges every
             // tenant's active engine.
             Some(route) => match registry.resolve(&route.model_id, route.version) {
-                Ok(mounted) => (
-                    stats_response(
-                        mounted.engine().report(),
-                        mounted.engine().queue_depth(),
-                        shared,
-                    ),
-                    false,
-                ),
+                Ok(mounted) => (stats_response(mounted.engine().report(), shared), false),
                 Err(e) => (registry_error_response(shared, &e), false),
             },
-            None => (
-                stats_response(registry.stats(), shared.backend.backlog(), shared),
-                false,
-            ),
+            None => (stats_response(registry.stats(), shared), false),
         },
         Request::Shutdown => (Response::ShuttingDown, true),
         Request::Mount {
@@ -1094,11 +1086,11 @@ fn metrics_response(shared: &Shared) -> Response {
 }
 
 /// Builds a `Stats` response around the given engine-side report.
-fn stats_response(engine: ServeReport, queue_depth: usize, shared: &Shared) -> Response {
+fn stats_response(engine: ServeReport, shared: &Shared) -> Response {
     let degraded = shared.degraded.snapshot();
     Response::Stats(Box::new(StatsSnapshot {
+        engine_queue_depth: engine.queue_depth,
         engine,
-        engine_queue_depth: queue_depth as u64,
         wire_in_flight: shared.in_flight.load(Ordering::Acquire) as u32,
         wire_budget: shared.config.max_in_flight as u32,
         wire_busy_rejections: degraded.busy_total(),
@@ -1106,34 +1098,9 @@ fn stats_response(engine: ServeReport, queue_depth: usize, shared: &Shared) -> R
     }))
 }
 
-/// Runs a work request under the admission ladder, or answers `Busy`.
-///
-/// Two gates, both *after* the frame is fully read (a shed never leaves
-/// the stream mid-frame): the backend's shard backlog against the queue
-/// watermark — shedding at the wire before the engine saturates, so work
-/// already queued keeps its latency — then the wire in-flight budget.
-fn with_admission(shared: &Arc<Shared>, work: impl FnOnce() -> Response) -> (Response, bool) {
-    let watermark = shared.config.queue_watermark;
-    if watermark > 0 {
-        let backlog = shared.backend.backlog();
-        if backlog > watermark {
-            shared.degraded.shed_watermark.inc();
-            return (
-                Response::Busy {
-                    in_flight: backlog.min(u32::MAX as usize) as u32,
-                    budget: watermark.min(u32::MAX as usize) as u32,
-                },
-                false,
-            );
-        }
-    }
-    match shared.try_admit() {
-        Ok(_guard) => (work(), false),
-        Err((in_flight, budget)) => (Response::Busy { in_flight, budget }, false),
-    }
-}
-
-fn serve_error_response(e: &napmon_serve::ServeError) -> Response {
+/// Builds the typed error for a failed engine call.
+fn serve_error_response(shared: &Shared, e: &ServeError) -> Response {
+    count_non_finite(shared, e);
     Response::Error {
         code: serve_error_code(e),
         message: e.to_string(),
@@ -1147,8 +1114,19 @@ fn registry_error_response(shared: &Shared, e: &RegistryError) -> Response {
     if code == ErrorCode::UnknownTenant {
         shared.degraded.unknown_tenant.inc();
     }
+    if let RegistryError::Serve(serve) = e {
+        count_non_finite(shared, serve);
+    }
     Response::Error {
         code,
         message: e.to_string(),
+    }
+}
+
+/// Counts a work request refused for a NaN or infinite input (or
+/// feature) in [`DegradedStats::non_finite`].
+fn count_non_finite(shared: &Shared, e: &ServeError) {
+    if matches!(e, ServeError::Monitor(MonitorError::NonFinite { .. })) {
+        shared.degraded.non_finite.inc();
     }
 }

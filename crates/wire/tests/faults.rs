@@ -208,17 +208,12 @@ fn idle_and_stalled_peers_are_evicted_and_free_their_slot() {
 #[test]
 fn watermark_shed_is_typed_busy_on_a_usable_connection() {
     let (net, train, probes) = fixture();
-    // Watermark 1 over a single shard: each in-flight batch frame is one
-    // shard job, and the depth gauge counts jobs not yet *picked up* — so
-    // six clients racing keep several jobs queued behind the worker. Six
-    // dispatch workers let all six clients submit concurrently (the auto
-    // pool would serialize them on a small machine and never queue).
+    // Watermark 1 over a 1-worker engine: each connection's frames are one
+    // job on the engine's pool, and the backlog gauge counts jobs not yet
+    // *picked up* — so six clients racing keep several jobs queued behind
+    // the one worker.
     let server = WireServer::builder(engine(&net, &train, 1))
-        .config(
-            WireConfig::default()
-                .with_queue_watermark(1)
-                .with_dispatch_threads(6),
-        )
+        .config(WireConfig::default().with_queue_watermark(1))
         .bind("127.0.0.1:0")
         .expect("bind");
     let addr = server.local_addr();

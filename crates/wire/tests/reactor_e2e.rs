@@ -3,27 +3,39 @@
 //!
 //! Holds over a thousand concurrent idle connections against one server
 //! and proves, by enumerating `/proc/self/task`, that the wire layer
-//! still runs on O(1) threads — one reactor plus a fixed worker pool —
-//! while every one of those connections remains live and servable. Also
-//! pins the accept-path refusal contract: a connection over the cap is
-//! answered with exactly one typed `Busy` frame through the nonblocking
-//! write path, counted exactly once in
+//! still runs on O(1) threads — one reactor, with frames served on the
+//! backend's worker pool — while every one of those connections remains
+//! live and servable. Pins the same for tenants: a registry with eight
+//! mounted tenants runs one reactor plus one pool, nothing per tenant.
+//! Also pins the accept-path refusal contract: a connection over the cap
+//! is answered with exactly one typed `Busy` frame through the
+//! nonblocking write path, counted exactly once in
 //! `DegradedStats::refused_connections`.
 //!
-//! This test lives in its own binary on purpose: it counts threads by
-//! name, which only works when no sibling test is spinning its own
-//! servers in the same process.
+//! This file is its own binary on purpose: it counts threads by name,
+//! which only works when no other test is spinning servers in the same
+//! process — so its tests also run one at a time ([`serial`]).
 
+use napmon_artifact::MonitorArtifact;
 use napmon_core::{MonitorKind, MonitorSpec};
 use napmon_nn::{Activation, LayerSpec, Network};
+use napmon_registry::{MonitorRegistry, RegistryConfig};
 use napmon_serve::{EngineConfig, MonitorEngine};
 use napmon_tensor::Prng;
 use napmon_wire::{
-    Frame, Opcode, Response, WireClient, WireConfig, WireServer, DEFAULT_MAX_PAYLOAD,
+    Frame, Opcode, Response, TenantRoute, WireClient, WireConfig, WireServer, DEFAULT_MAX_PAYLOAD,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Runs this binary's tests one at a time, so each thread census sees
+/// only its own server's threads.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const INPUT_DIM: usize = 4;
 const IDLE_CONNS: usize = 1100;
@@ -73,6 +85,7 @@ fn threads_with_prefix(prefix: &str) -> Vec<String> {
 /// sized by config, not by peers.
 #[test]
 fn holds_1024_idle_connections_on_constant_wire_threads() {
+    let _serial = serial();
     let (net, train, probes) = fixture();
     let server = WireServer::builder(engine(&net, &train))
         .config(
@@ -175,6 +188,7 @@ fn read_frame(stream: &mut TcpStream) -> Frame {
 /// — and `refused_connections` counts each refusal exactly once.
 #[test]
 fn accept_refusals_speak_busy_and_count_exactly_once() {
+    let _serial = serial();
     let (net, train, probes) = fixture();
     let server = WireServer::builder(engine(&net, &train))
         .config(WireConfig::default().with_max_connections(1))
@@ -211,4 +225,71 @@ fn accept_refusals_speak_busy_and_count_exactly_once() {
     // The refusal left the holder untouched.
     holder.query(&probes[0]).expect("slot holder still served");
     server.shutdown();
+}
+
+/// Thread count does not grow with tenants: eight tenants mounted behind
+/// one registry server, each served once, run on exactly one reactor plus
+/// the registry's one pool of `EngineConfig::shards` workers — no thread
+/// per tenant, per engine, per retiree or per frame.
+#[cfg(target_os = "linux")]
+#[test]
+fn eight_tenants_share_one_reactor_and_one_pool() {
+    const TENANTS: usize = 8;
+    const WORKERS: usize = 2;
+    let _serial = serial();
+    let (net, train, probes) = fixture();
+    let spec = MonitorSpec::new(2, MonitorKind::pattern());
+    let registry = Arc::new(MonitorRegistry::new(RegistryConfig::with_engine(
+        EngineConfig::with_shards(WORKERS),
+    )));
+    for t in 0..TENANTS {
+        let monitor = spec.build(&net, &train).expect("build monitor");
+        let artifact = MonitorArtifact::from_parts(spec.clone(), net.clone(), monitor, train.len())
+            .expect("artifact");
+        registry
+            .mount(&format!("tenant-{t}"), 1, artifact)
+            .expect("mount tenant");
+    }
+    let server = WireServer::builder(Arc::clone(&registry))
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    for t in 0..TENANTS {
+        let mut client = WireClient::connect(server.local_addr())
+            .expect("connect")
+            .with_route(TenantRoute::active(format!("tenant-{t}")));
+        client
+            .query(&probes[t % probes.len()])
+            .expect("tenant served");
+    }
+
+    // Freshly spawned threads name themselves on their own schedule, so
+    // sample until the census settles (or the deadline reports it).
+    // `comm` keeps 15 bytes: `napmon-wire-reactor` reads `napmon-wire-rea`
+    // and `napmon-registry-drain` reads `napmon-registry`.
+    let census = || {
+        let count = |prefix: &str| threads_with_prefix(prefix).len();
+        (
+            count("napmon-wire-rea"),
+            count("napmon-pool-"),
+            count("napmon-shard-") + count("napmon-wire-w") + count("napmon-registry"),
+        )
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while census() != (1, WORKERS, 0) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (reactors, workers, per_tenant) = census();
+    assert_eq!(reactors, 1, "one reactor per server");
+    assert_eq!(
+        workers, WORKERS,
+        "one pool of EngineConfig::shards workers for every tenant"
+    );
+    assert_eq!(
+        per_tenant,
+        0,
+        "no shard, wire-worker or drainer threads: {:?}",
+        threads_with_prefix("napmon-")
+    );
+    let report = server.shutdown_registry().expect("registry report");
+    assert_eq!(report.tenants.len(), TENANTS);
 }

@@ -152,6 +152,7 @@ fn shutdown_during_hot_swap_leaks_no_worker_threads() {
                     (name.starts_with("napmon-registry")
                         || name.starts_with("napmon-shadow")
                         || name.starts_with("napmon-shard")
+                        || name.starts_with("napmon-pool")
                         || name.starts_with("napmon-wire"))
                     .then_some(name)
                 })

@@ -9,7 +9,7 @@
 //! whole deployment as one versioned artifact file. Stage 2 plays the
 //! *operations side*: a (conceptually fresh) process that knows nothing
 //! but the file path loads it — validation included — mounts it on the
-//! sharded serving engine, and serves traffic. The example asserts that
+//! pooled serving engine, and serves traffic. The example asserts that
 //! the served verdicts are bit-identical to the builder's in-memory
 //! monitor, and that tampered files are rejected with typed errors.
 
@@ -71,13 +71,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loaded = MonitorArtifact::load_json(&path)?;
     println!("loaded   {loaded}");
 
-    // Mount it on the sharded serving engine and serve the same probes.
+    // Mount it on the serving engine and serve the same probes.
     let engine = MonitorEngine::from_artifact(loaded, EngineConfig::with_shards(2));
     let served = engine.submit_batch(probes.clone())?;
     let report = engine.shutdown();
     assert_eq!(served, reference, "round trip must be bit-identical");
     println!(
-        "served   {} requests across 2 shards, warn rate {:.3} — verdicts bit-identical",
+        "served   {} requests on 2 pool workers, warn rate {:.3} — verdicts bit-identical",
         report.requests, report.warn_rate
     );
 

@@ -1,6 +1,6 @@
 //! Operation-time monitoring as a long-lived service: train the race-track
 //! perception network, freeze its monitor, and serve mixed traffic through
-//! a sharded `napmon-serve` engine — the deployment shape the paper's
+//! a pooled `napmon-serve` engine — the deployment shape the paper's
 //! monitors are designed for.
 //!
 //! ```text
@@ -32,11 +32,11 @@ fn main() {
     .expect("build monitor");
     println!("monitor: {monitor}");
 
-    // 2. Stand the engine up: two worker shards, each holding one scratch
+    // 2. Stand the engine up: a pool of two workers, each holding one scratch
     //    for its whole lifetime.
     let engine = MonitorEngine::new(net.clone(), monitor, EngineConfig::with_shards(2));
     println!(
-        "engine up: {} shards, micro-batch {}\n",
+        "engine up: {} pool workers, micro-batch {}\n",
         engine.shards(),
         engine.config().micro_batch
     );

@@ -2,8 +2,8 @@
 //!
 //! 1. declare a store-backed monitor spec and build it — the pattern set
 //!    lands in a log-structured on-disk store, not process RAM;
-//! 2. serve traffic on the sharded engine and *absorb* novel
-//!    operation-time patterns into the store (no rebuild — every shard
+//! 2. serve traffic on the engine and *absorb* novel
+//!    operation-time patterns into the store (no rebuild — every worker
 //!    sees them immediately);
 //! 3. save a (tiny) artifact that references the store by path;
 //! 4. simulate a restart: boot a fresh engine straight from the segments
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // …until the operator absorbs it: the store grows, the abstraction
-    // enlarges, and every shard serves the new patterns with no rebuild.
+    // enlarges, and every worker serves the new patterns with no rebuild.
     let fresh = engine.absorb_batch(&ood)?;
     let after = engine.submit_batch(ood.clone())?;
     assert!(after.iter().all(|v| !v.warning));

@@ -8,7 +8,7 @@
 //!    verdicts are asserted **bit-identical** to a direct in-process
 //!    `MonitorEngine::submit_batch` on the same build;
 //! 4. novel traffic is *absorbed over the wire*: the store grows, every
-//!    shard (and every client) sees the enlarged abstraction immediately;
+//!    worker (and every client) sees the enlarged abstraction immediately;
 //! 5. the operations client stamps a trace id on its traffic and scrapes
 //!    the server's metrics over the same protocol — counters, text
 //!    exposition, slow-request log, and (with `--features obs`) the
@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         WireConfig::default().with_slow_request_threshold(std::time::Duration::from_micros(10)),
     )?;
     let addr = server.local_addr();
-    println!("serving  wire protocol v{WIRE_PROTOCOL_VERSION} on {addr} (2 shards)");
+    println!("serving  wire protocol v{WIRE_PROTOCOL_VERSION} on {addr} (2 pool workers)");
 
     // N concurrent clients: everyone must see exactly the builder's
     // verdicts, over TCP, interleaved on one engine.
@@ -155,7 +155,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "absorbed {fresh} new patterns over the wire \
-         ({warned_before}/{} warned before, 0 after — no rebuild, every shard sees them)",
+         ({warned_before}/{} warned before, 0 after — no rebuild, every worker sees them)",
         novel.len()
     );
 

@@ -67,21 +67,10 @@ fn two_shard_engine_matches_batch_evaluation_and_drains_on_shutdown() {
     assert_eq!(drained.len(), exp.train_data().inputs.len());
     assert!(drained.iter().all(|v| !v.warning));
 
-    // Cross-checks: the report's stream-side warn rate agrees with the
-    // verdicts the clients saw, and both shards carried load.
+    // Cross-check: the report's stream-side warn rate agrees with the
+    // verdicts the clients saw.
     let warned = verdicts.iter().filter(|v| v.warning).count() as u64;
     assert_eq!(report.warnings, warned);
-    assert_eq!(report.shards.len(), 2);
-    for shard in &report.shards {
-        assert!(shard.requests() > 0, "shard {} served nothing", shard.shard);
-        // The drain guarantee, per shard: nothing may still be queued
-        // after a graceful shutdown.
-        assert_eq!(
-            shard.queue_depth, 0,
-            "shard {} retired with queued work",
-            shard.shard
-        );
-    }
     assert_eq!(report.queue_depth, 0, "engine retired with queued work");
 
     // Ops scrape these reports: the full aggregate (queue depths
